@@ -12,130 +12,8 @@ The package computes, over exact rational arithmetic:
 * a finite-field counting oracle cross-checking the specialization at
   L = q (``algebra``);
 * a JSON input layer and a command-line driver (``schemas``, ``cli``).
-"""
 
-from .errors import (
-    BadReduction,
-    BoundSearchExceeded,
-    ClipRuleViolation,
-    EmptyResultWindow,
-    EnumerationTooLarge,
-    NotContained,
-    NotDivisible,
-    PrecisionExhausted,
-    SchemaError,
-    SingvalError,
-    WindowNotCovered,
-    ZeroDivisor,
-)
-from .lefschetz import (
-    GC_L,
-    GC_ONE,
-    GC_ZERO,
-    GrothendieckClass,
-    gc_add,
-    gc_div_exact,
-    gc_eval_rational,
-    gc_from_json,
-    gc_int,
-    gc_invert_L,
-    gc_monomial,
-    gc_mul,
-    gc_to_json,
-    gc_to_text,
-)
-from .lattice import (
-    Window,
-    WindowSeries,
-    iter_box,
-    ones,
-    unit,
-    vec_add,
-    vec_dot,
-    vec_max,
-    vec_min,
-    vec_neg,
-    vec_sub,
-    ws_add,
-    ws_build,
-    ws_eq_on,
-    ws_invert_vars,
-    ws_mul_monomial,
-    ws_mul_poly,
-    ws_scale_class,
-    ws_scale_vars,
-    ws_to_json,
-)
-from .curve import (
-    BranchSeries,
-    CurvePresentation,
-    Element,
-    FracIdeal,
-    bs_shift,
-    el_add,
-    el_is_exact_zero,
-    el_mul,
-    el_scale,
-    el_shift,
-    el_sub,
-    el_trunc,
-    el_unit_monomial,
-    el_zero,
-    ideal_product,
-    ideal_sum,
-    monomial_scale,
-    ring_ideal,
-    value_of,
-)
-from .valuemodule import ValueModule, Verdict, ring_like
-from .algebra import (
-    colon,
-    conductor_bound,
-    contains_module,
-    count_points_mod_q,
-    degree,
-    dim_quotient,
-    dual,
-    exact_member,
-    gorenstein_by_lengths,
-    jet_rank_mod_q,
-    lengths_report,
-    max_ideal,
-    module_equal,
-    monomial_ideal,
-    normalization_ideal,
-    normalize_ideal,
-    self_dual_direct,
-    value_set,
-    verify_canonical,
-)
-from .poincare import (
-    series_cells,
-    series_degrees,
-    series_poincare,
-    series_proj_cells,
-    series_proj_poincare,
-    specialize,
-    verify_cell_functional_equation,
-    verify_cell_poincare_bridge,
-    verify_degree_duality,
-    verify_gorenstein_tail_identity,
-    verify_jump_duality,
-    verify_poincare_functional_equation,
-    verify_proj_affine_bridge,
-    verify_proj_bridge_display,
-    verify_proj_functional_equation,
-    verify_proj_support,
-)
-from .schemas import (
-    CurveInput,
-    InputBundle,
-    curve_input_to_json,
-    load_input,
-    parse_curve_input,
-    parse_input,
-    parse_value_module,
-    value_module_to_json,
-)
+The library API is these submodules; import from them directly.
+"""
 
 __version__ = "0.1.0"

@@ -49,6 +49,10 @@ from .lattice import Vec, vec_add, vec_check, vec_max, vec_neg, vec_sub
 from .valuemodule import ValueModule
 
 _ZERO = Fraction(0)
+# the conductor search climbs at most this far above the minimal orders
+CONDUCTOR_CLIMB = 64
+# pseudo-random transporter combinations tried by self_dual_direct
+DIRECT_PROBE_COMBOS = 8
 
 
 # -- exact row reduction ------------------------------------------------------
@@ -238,7 +242,7 @@ def _band_contained(a: FracIdeal, m: Vec) -> bool:
     return True
 
 
-def _gen_conductor(a: FracIdeal, kmax: int = 64) -> Vec:
+def _gen_conductor(a: FracIdeal) -> Vec:
     """Minimal m with t^m * (full product ring) inside the generator module.
 
     The set of working bounds is closed upward and under componentwise min,
@@ -249,14 +253,14 @@ def _gen_conductor(a: FracIdeal, kmax: int = 64) -> Vec:
         return a._cond
     base = a.vmin
     hi = None
-    for k in range(kmax + 1):
+    for k in range(CONDUCTOR_CLIMB + 1):
         cand = tuple(x + k for x in base)
         if _band_contained(a, cand):
             hi = list(cand)
             break
     if hi is None:
         raise BoundSearchExceeded(
-            f"no full monomial band found below {tuple(x + kmax for x in base)}; "
+            f"no full monomial band found below {tuple(x + CONDUCTOR_CLIMB for x in base)}; "
             "the presented module is too thin to contain one (is the curve reduced "
             "and every branch genuinely separate?)")
     for i in range(a.r):
@@ -274,10 +278,10 @@ def _gen_conductor(a: FracIdeal, kmax: int = 64) -> Vec:
     return out
 
 
-def conductor_bound(a: FracIdeal, kmax: int = 64) -> Vec:
+def conductor_bound(a: FracIdeal) -> Vec:
     """Certified minimal m such that every element with orders >= m lies in
     the fractional ideal (in actual value coordinates, shift included)."""
-    return vec_sub(_gen_conductor(a, kmax), a.shift)
+    return vec_sub(_gen_conductor(a), a.shift)
 
 
 # -- membership, containment, dimensions --------------------------------------
@@ -372,29 +376,6 @@ def max_ideal(curve: CurvePresentation) -> FracIdeal:
     return FracIdeal(curve, curve.gens)
 
 
-def _min_value_nonzerodivisor(gens: Sequence[Element], r: int, vmin: Vec) -> tuple[Element, Vec]:
-    """A single element of the span realizing the componentwise minimal order.
-
-    Scans z = sum lambda^(j-1) g_j over small integer lambda; per branch the
-    leading coefficient is a nonzero polynomial in lambda of degree below the
-    generator count, so r*(count-1) values at most can fail.
-    """
-    s = len(gens)
-    for lam in range(1, r * s + 2):
-        z = el_zero(r)
-        scale = Fraction(1)
-        for g in gens:
-            z = el_add(z, el_scale(g, scale))
-            scale *= lam
-        try:
-            v = value_of(z)
-        except SingvalError:
-            continue
-        if v == vmin:
-            return z, v
-    raise BoundSearchExceeded("no generator combination realizes the minimal order vector")
-
-
 # -- colon ideals ---------------------------------------------------------------
 
 
@@ -418,8 +399,9 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     """The transporter {x : x*b inside a}, computed exactly.
 
-    Any such x has order at least vmin(a) - v(z_b) for a minimal-order
-    nonzerodivisor z_b of b, and everything of order at least
+    Any such x has order at least vmin(a) - vmin(b), because some
+    combination of b's generators has order exactly vmin(b) on every branch
+    (curve.vmin_combination), and everything of order at least
     cond(a) - vmin(b) belongs outright.  In between, membership of x*g_j in
     a is a finite linear system on jet residuals; its nullspace plus the
     guaranteed tail band generate the transporter.
@@ -429,9 +411,8 @@ def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     a2, b2 = common_shift(a, b)
     curve = a.curve
     r = curve.r
-    zb, vb = _min_value_nonzerodivisor(b2.gens, r, b2.vmin)
     conda = _gen_conductor(a2)
-    xlo = vec_sub(a2.vmin, vb)
+    xlo = vec_sub(a2.vmin, b2.vmin)
     xhi = vec_sub(conda, b2.vmin)  # from here on, x*b lands beyond cond(a)
     neg = tuple(max(0, -x) for x in xlo)
     lo = vec_add(xlo, neg)
@@ -482,7 +463,7 @@ def normalize_ideal(b: FracIdeal) -> FracIdeal:
 
 
 def self_dual_direct(
-    b: FracIdeal, canonical: FracIdeal, seeds: int = 8, seed: int = 0
+    b: FracIdeal, canonical: FracIdeal, seed: int = 0
 ) -> tuple[str, str]:
     """Module-level self-duality probe: is the dual a monomial-unit multiple?
 
@@ -490,7 +471,7 @@ def self_dual_direct(
     invariant (normalized value set, conductor, or degree) separates b from
     its dual, or ("undetermined", why) when the invariants agree but no
     certificate was found among the transporter generators of value zero
-    and `seeds` pseudo-random integer combinations of them.  The counting
+    and DIRECT_PROBE_COMBOS pseudo-random integer combinations of them.  The counting
     criteria on the value module are the decision procedure of record; this
     probe exists to cross-check them on concrete inputs.
     """
@@ -526,7 +507,7 @@ def self_dual_direct(
             return ("yes", "a transporter generator carries the module onto its dual")
     rng = random.Random(seed)
     combos = [tuple(1 for _ in trans.gens)]
-    combos += [tuple(rng.randint(0, 5) for _ in trans.gens) for _ in range(seeds)]
+    combos += [tuple(rng.randint(0, 5) for _ in trans.gens) for _ in range(DIRECT_PROBE_COMBOS)]
     for lam in combos:
         z = el_zero(b.r)
         for coeff, g in zip(lam, trans.gens):
@@ -545,12 +526,12 @@ def self_dual_direct(
 def verify_canonical(c: FracIdeal, family: Sequence[FracIdeal] | None = None) -> tuple[bool, list[str]]:
     """Check the defining property of a canonical ideal on a test family.
 
-    Requires a nonzerodivisor in c and double-colon stability c:(c:a) = a
-    for every family member.  The default family is the ring, the full
+    Requires double-colon stability c:(c:a) = a for every family member (c
+    always holds a nonzerodivisor: curve.vmin_combination realizes one from
+    its generators).  The default family is the ring, the full
     module, and the shifted full modules with shifts in {0,1}^r.
     """
     curve = c.curve
-    _min_value_nonzerodivisor(c.gens, curve.r, c.vmin)
     if family is None:
         family = [ring_ideal(curve), normalization_ideal(curve)] + [
             monomial_ideal(curve, v)
@@ -760,14 +741,24 @@ def _modp_jet_basis(curve: CurvePresentation, p: int, N: Vec) -> tuple[list[list
 
 
 def jet_rank_mod_q(curve: CurvePresentation, p: int, level: int | Vec) -> int:
-    """Dimension of the enumerated jet span used by count_points_mod_q."""
+    """Dimension of the enumerated jet span used by count_points_mod_q.
+
+    Raises BadReduction when it is below the rank over Q of the ring's jets
+    at the same precision: reduction can only lose rank, and a loss means
+    the ring mod p is a different ring (two branches that coincide mod p).
+    """
     if not _is_prime(p):
         raise SingvalError(f"the specialization oracle needs a prime, got {p}")
     if isinstance(level, int):
         level = (level,) * curve.r
     N = tuple(x + 1 for x in vec_check(level, curve.r))
-    rows, _ = _modp_jet_basis(curve, p, N)
-    return len(rows)
+    rank = len(_modp_jet_basis(curve, p, N)[0])
+    over_q = jet_span(ring_ideal(curve), N).rank
+    if rank != over_q:
+        raise BadReduction(
+            f"the ring's jets at {N} have rank {rank} mod {p} but {over_q} over Q; "
+            "the reduction changes the ring")
+    return rank
 
 
 def count_points_mod_q(

@@ -91,12 +91,6 @@ def _emit(out: TextIO, fmt: str, lines: list[str], obj: dict) -> None:
         out.write("\n".join(lines) + "\n")
 
 
-def _check_margin(margin: int) -> int:
-    if margin < 1:
-        raise SchemaError(f"margin must be at least 1, got {margin}")
-    return margin
-
-
 def _concrete(bundle: InputBundle) -> CurveInput:
     if bundle.curve_input is None:
         raise SchemaError("this command needs a concrete curve file, "
@@ -166,11 +160,21 @@ def _self_dual_routes(
     return routes, direct, len(set(verdicts)) == 1
 
 
+def _routes_check(
+    vm: ValueModule,
+    b: FracIdeal | None = None,
+    canonical: FracIdeal | None = None,
+    seed: int = 0,
+) -> Verdict:
+    routes, direct, agree = _self_dual_routes(vm, b, canonical, seed=seed)
+    detail = " ".join(f"{n}={_yesno(v)}" for n, v in routes)
+    return Verdict(agree, detail + f" direct={direct[0]}")
+
+
 # -- info ---------------------------------------------------------------------------
 
 
 def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
-    _check_margin(args.margin)
     ci = _concrete(load_input(args.file))
     curve = ci.curve
     ring = ring_ideal(curve)
@@ -213,7 +217,6 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_ideal_info(args: argparse.Namespace, out: TextIO) -> int:
-    _check_margin(args.margin)
     ci = _concrete(load_input(args.file))
     b = _resolve_ideal(ci, args.ideal)
     canonical, cname = _resolve_canonical(ci, args.canonical)
@@ -263,7 +266,6 @@ def cmd_ideal_info(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
-    _check_margin(args.margin)
     bundle = load_input(args.file)
     if bundle.curve_input is not None:
         ideal_name = args.ideal if args.ideal is not None else "ring"
@@ -287,8 +289,6 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
             which.append(key)
     if not which:
         raise SchemaError("no series requested")
-    if args.q is not None and args.q < 2:
-        raise SchemaError(f"specialization needs q >= 2, got {args.q}")
 
     w = _window_for(vm, args.margin)
     built = {key: SERIES_BUILDERS[key](vm, w) for key in which}
@@ -361,8 +361,6 @@ def _verify_module_rows(
          lambda: verify_proj_affine_bridge(vm), on_error=on_error)
     _row(rows, f"{label}: projective support",
          lambda: verify_proj_support(vm), on_error=on_error)
-    _row(rows, f"{label}: jump profile consistency",
-         lambda: verify_jump_duality(vm), on_error=on_error)
     _row(rows, f"{label}: display bridge (projective)",
          lambda: verify_proj_bridge_display(vm),
          defect_when_false=vm.r >= 2, on_error=on_error)
@@ -417,14 +415,8 @@ def _verify_ideal(
     rows.append((f"{name}: value table extraction", "PASS",
                  f"conductor {_fmt_vec(vm.gamma)}, {len(vm.members)} members"))
     _verify_module_rows(rows, name, vm, on_error="FAIL")
-
-    def routes_check():
-        routes, direct, agree = _self_dual_routes(vm, b, canonical, seed=seed)
-        detail = " ".join(f"{n}={_yesno(v)}" for n, v in routes)
-        detail += f" direct={direct[0]}"
-        return Verdict(agree, detail)
-
-    _row(rows, f"{name}: self-duality routes agree", routes_check)
+    _row(rows, f"{name}: self-duality routes agree",
+         lambda: _routes_check(vm, b, canonical, seed))
 
     if canonical is None:
         rows.append((f"{name}: duality checks", "SKIP", "no canonical ideal"))
@@ -450,14 +442,8 @@ def _verify_abstract(rows: list[Row], vm: ValueModule) -> None:
     rows.append(("module: value module well-formed", "PASS",
                  f"conductor {_fmt_vec(vm.gamma)}, {len(vm.members)} members"))
     _verify_module_rows(rows, "module", vm, on_error="SKIP")
-
-    def routes_check():
-        routes, direct, agree = _self_dual_routes(vm)
-        detail = " ".join(f"{n}={_yesno(v)}" for n, v in routes)
-        detail += f" direct={direct[0]}"
-        return Verdict(agree, detail)
-
-    _row(rows, "module: self-duality routes agree", routes_check, on_error="SKIP")
+    _row(rows, "module: self-duality routes agree", lambda: _routes_check(vm),
+         on_error="SKIP")
     try:
         vm_star = vm.dual_from_jump_profile()
     except SingvalError as exc:
@@ -473,7 +459,6 @@ def _verify_abstract(rows: list[Row], vm: ValueModule) -> None:
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    _check_margin(args.margin)
     bundle = load_input(args.file)
     rows: list[Row] = []
     if bundle.curve_input is None:
@@ -520,10 +505,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    _check_margin(args.margin)
     ci = _concrete(load_input(args.file))
-    if args.q < 2:
-        raise SchemaError(f"specialization needs q >= 2, got {args.q}")
     if args.level < 1:
         raise SchemaError(f"level must be at least 1, got {args.level}")
     curve = ci.curve
@@ -625,6 +607,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.margin < 1:
+            raise SchemaError(f"margin must be at least 1, got {args.margin}")
+        if getattr(args, "q", None) is not None and args.q < 2:
+            raise SchemaError(f"specialization needs q >= 2, got {args.q}")
         return args.func(args, sys.stdout)
     except (EnumerationTooLarge, BoundSearchExceeded) as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)

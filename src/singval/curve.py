@@ -105,10 +105,6 @@ def bs_scale(a: BranchSeries, q: Fraction | int) -> BranchSeries:
     return BranchSeries({e: c * q for e, c in a.coeffs.items()}, a.prec)
 
 
-def bs_sub(a: BranchSeries, b: BranchSeries) -> BranchSeries:
-    return bs_add(a, bs_scale(b, -1))
-
-
 def _ord_lower(a: BranchSeries) -> int:
     """A certified lower bound for the order (exact when coeffs exist)."""
     if a.coeffs:
@@ -181,10 +177,6 @@ def el_add(a: Element, b: Element) -> Element:
     return tuple(bs_add(x, y) for x, y in zip(a, b, strict=True))
 
 
-def el_sub(a: Element, b: Element) -> Element:
-    return tuple(bs_sub(x, y) for x, y in zip(a, b, strict=True))
-
-
 def el_scale(a: Element, q: Fraction | int) -> Element:
     return tuple(bs_scale(x, q) for x in a)
 
@@ -229,6 +221,27 @@ def el_min_orders(gens: Sequence[Element], r: int) -> Vec:
     return tuple(mins)  # type: ignore[arg-type]
 
 
+def vmin_combination(gens: Sequence[Element], r: int) -> tuple[Element, Vec]:
+    """A combination of gens whose order vector is their componentwise
+    minimum order vmin; returns it with vmin.
+
+    Scans z = sum l^(j-1) g_j over l = 1, 2, ...  Per branch the leading
+    coefficient at order vmin_i is a nonzero polynomial in l of degree below
+    #gens, so at most r * (#gens - 1) values of l fail and the first
+    r * #gens + 1 values must include a success.
+    """
+    vmin = el_min_orders(gens, r)
+    for lam in range(1, r * len(gens) + 2):
+        z = el_zero(r)
+        w = 1
+        for g in gens:
+            z = el_add(z, el_scale(g, w))
+            w *= lam
+        if all(not x.is_exact_zero() for x in z) and value_of(z) == vmin:
+            return z, vmin
+    raise BoundSearchExceeded("no generator combination realizes the minimal order vector")
+
+
 class CurvePresentation:
     """The local algebra of a reduced curve germ with r smooth branches,
     presented by finitely many exact elements of the product of branch lines.
@@ -265,26 +278,9 @@ class CurvePresentation:
             raise SchemaError("the ring presentation has no nonconstant generator")
         self.r = r
         self.gens = tuple(gens)
-        # a branch no generator touches would make the normalization infinite over the ring
-        el_min_orders(self.gens, r)
-        self.z0, self.z0_order = self._find_nonzerodivisor()
-
-    def _find_nonzerodivisor(self) -> tuple[Element, Vec]:
-        """A ring element with finite positive order on every branch.
-
-        Combinations sum(l^(j-1) g_j) fail only when l is a common root of
-        finitely many coefficient polynomials of degree < #gens, so scanning
-        r * #gens + 1 values of l must succeed.
-        """
-        for lam in range(1, self.r * len(self.gens) + 2):
-            z = el_zero(self.r)
-            w = 1
-            for g in self.gens:
-                z = el_add(z, el_scale(g, w))
-                w *= lam
-            if all(not x.is_exact_zero() for x in z):
-                return z, value_of(z)
-        raise BoundSearchExceeded("no ring nonzerodivisor found; presentation is degenerate")
+        # the distinguished nonzerodivisor; finding it also rejects a branch
+        # no generator touches (the normalization would be infinite over the ring)
+        self.z0, self.z0_order = vmin_combination(self.gens, r)
 
 
 class FracIdeal:

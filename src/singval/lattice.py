@@ -16,10 +16,6 @@ from .lefschetz import GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_mul, gc_to
 Vec = tuple[int, ...]
 
 
-def vec(*xs: int) -> Vec:
-    return tuple(xs)
-
-
 def vec_check(v: Iterable[int], r: int | None = None) -> Vec:
     t = tuple(v)
     for x in t:
@@ -60,10 +56,6 @@ def vec_dot(a: Vec, b: Vec) -> int:
 
 def ones(r: int, k: int = 1) -> Vec:
     return (k,) * r
-
-
-def unit(r: int, i: int, k: int = 1) -> Vec:
-    return tuple(k if j == i else 0 for j in range(r))
 
 
 def iter_box(lo: Vec, hi: Vec) -> Iterator[Vec]:
@@ -170,17 +162,6 @@ def ws_build(window: Window, fn: Callable[[Vec], GrothendieckClass]) -> WindowSe
     return WindowSeries(window, {v: fn(v) for v in window.points()})
 
 
-def ws_add(a: WindowSeries, b: WindowSeries, scale: int = 1) -> WindowSeries:
-    """a + scale*b on the intersection of the two windows."""
-    lo = vec_max(a.window.lo, b.window.lo)
-    hi = vec_min(a.window.hi, b.window.hi)
-    if any(h < l for l, h in zip(lo, hi)):
-        raise EmptyResultWindow("windows do not meet")
-    w = Window(lo, hi)
-    s = GrothendieckClass({0: scale})
-    return ws_build(w, lambda v: gc_add(a.coeff(v), gc_mul(s, b.coeff(v))))
-
-
 def ws_scale_vars(a: WindowSeries, d: Vec) -> WindowSeries:
     """Substitute t_i -> L^{d_i} t_i: coefficient at v picks up L^{v.d}."""
     d = vec_check(d, a.window.r)
@@ -237,16 +218,21 @@ def ws_mul_poly(a: WindowSeries, poly: Mapping[Vec, GrothendieckClass]) -> Windo
     return WindowSeries(w, out)
 
 
+def ws_require_cover(a: WindowSeries, b: WindowSeries, window: Window) -> None:
+    """Raise WindowNotCovered unless both sides determine the whole window."""
+    if not a.window.covers(window):
+        raise WindowNotCovered(f"left side only knows {a.window}, need {window}")
+    if not b.window.covers(window):
+        raise WindowNotCovered(f"right side only knows {b.window}, need {window}")
+
+
 def ws_eq_on(a: WindowSeries, b: WindowSeries, window: Window) -> Vec | None:
     """Compare on every point of the given window (lex order).
 
     Returns None when equal, else the first point of disagreement.  Raises
     WindowNotCovered if either side does not determine the whole window.
     """
-    if not a.window.covers(window):
-        raise WindowNotCovered(f"left side only knows {a.window}, need {window}")
-    if not b.window.covers(window):
-        raise WindowNotCovered(f"right side only knows {b.window}, need {window}")
+    ws_require_cover(a, b, window)
     for v in window.points():
         if a.coeff(v) != b.coeff(v):
             return v

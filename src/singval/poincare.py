@@ -20,6 +20,7 @@ Poincare functional equation for two or more branches.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .errors import SingvalError, WindowNotCovered
 from .lattice import (
@@ -31,10 +32,10 @@ from .lattice import (
     vec_dot,
     vec_sub,
     ws_build,
-    ws_eq_on,
     ws_invert_vars,
     ws_mul_monomial,
     ws_mul_poly,
+    ws_require_cover,
     ws_scale_class,
     ws_scale_vars,
 )
@@ -148,9 +149,8 @@ def series_proj_poincare(vm: ValueModule, w: Window) -> WindowSeries:
 
 
 def specialize(s: WindowSeries, q: int) -> dict[Vec, Fraction]:
-    """Evaluate every coefficient at L = q; the window table of rationals."""
-    if q < 2:
-        raise SingvalError(f"specialization needs q >= 2, got {q}")
+    """Evaluate every coefficient at L = q (an integer >= 2); the window
+    table of rationals."""
     return {v: gc_eval_rational(s.coeff(v), q) for v in s.window.points()}
 
 
@@ -190,6 +190,35 @@ def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
     return None
 
 
+def _agree(w: Window, lhs: Callable[[Vec], object], rhs: Callable[[Vec], object],
+           holds: str, fails: str) -> Verdict:
+    """Compare lhs(v) with rhs(v) at every point of w in lex order.
+
+    Fails at the first point v where they differ, with detail
+    fails.format(v=v) and witness (v, lhs(v), rhs(v)).
+    """
+    for v in w.points():
+        a, b = lhs(v), rhs(v)
+        if a != b:
+            return Verdict(False, fails.format(v=v), witness=(v, a, b))
+    return Verdict(True, holds)
+
+
+def _series_agree(w: Window, lhs: WindowSeries, rhs: WindowSeries,
+                  holds: str, fails: str) -> Verdict:
+    """_agree on two series' coefficients; both must determine all of w."""
+    ws_require_cover(lhs, rhs, w)
+    return _agree(w, lhs.coeff, rhs.coeff, holds, fails)
+
+
+def _constant(w: Window, residual: Callable[[Vec], GrothendieckClass],
+              holds: str, fails: str) -> Verdict:
+    """Is residual the same class at every point of w?  The witness pairs
+    the first differing value with the value at the first point."""
+    first = residual(w.lo)
+    return _agree(w, residual, lambda v: first, holds, fails)
+
+
 # -- identity checks -----------------------------------------------------------
 
 
@@ -208,10 +237,7 @@ def verify_cell_poincare_bridge(vm: ValueModule, w: Window | None = None) -> Ver
         ws_scale_class(series_poincare(vm, pad), GC_L_MINUS_1),
         poly_full_shift_minus_one(vm.r),
     )
-    bad = ws_eq_on(lhs, rhs, w)
-    if bad is None:
-        return Verdict(True, f"bridge holds on {w.lo}..{w.hi}")
-    return Verdict(False, "bridge mismatch", witness=(bad, lhs.coeff(bad), rhs.coeff(bad)))
+    return _series_agree(w, lhs, rhs, f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
 
 
 def verify_degree_duality(
@@ -230,12 +256,13 @@ def verify_degree_duality(
     w = _resolve_window(vm_b, w)
     gamma = vm_b.gamma
     m = vm_b.ell(gamma)
-    for v in w.points():
-        lhs = vec_dot(v, vm_b.weights) + vm_b.deg_J(v)
-        rhs = m + vm_bstar.deg_J(vec_sub(gamma, v))
-        if lhs != rhs:
-            return Verdict(False, f"degree pairing fails at {v}", witness=(v, lhs, rhs))
-    return Verdict(True, f"degree pairing holds with constant {m}")
+    return _agree(
+        w,
+        lambda v: vec_dot(v, vm_b.weights) + vm_b.deg_J(v),
+        lambda v: m + vm_bstar.deg_J(vec_sub(gamma, v)),
+        f"degree pairing holds with constant {m}",
+        "degree pairing fails at {v}",
+    )
 
 
 def verify_cell_functional_equation(
@@ -268,13 +295,10 @@ def verify_cell_functional_equation(
     rhs_a = ws_mul_monomial(
         ws_invert_vars(series_degrees(vm_bstar, refl)), gamma, gc_monomial(m)
     )
-    bad = ws_eq_on(lhs_a, rhs_a, w)
-    if bad is not None:
-        return Verdict(
-            False,
-            f"degree-series form fails at {bad}",
-            witness=(bad, lhs_a.coeff(bad), rhs_a.coeff(bad)),
-        )
+    holds = f"both forms hold with factor exponent {m} - {d}"
+    verdict = _series_agree(w, lhs_a, rhs_a, holds, "degree-series form fails at {v}")
+    if not verdict:
+        return verdict
 
     pad = Window(vec_sub(w.lo, ones(r)), w.hi)
     minus_full = {ones(r, 0): GC_ONE, ones(r): gc_int(-1)}
@@ -288,14 +312,7 @@ def verify_cell_functional_equation(
         ),
         poly_weighted_shift_minus_one(r, d),
     )
-    bad = ws_eq_on(lhs_c, rhs_c, w)
-    if bad is not None:
-        return Verdict(
-            False,
-            f"cell-series form fails at {bad}",
-            witness=(bad, lhs_c.coeff(bad), rhs_c.coeff(bad)),
-        )
-    return Verdict(True, f"both forms hold with factor exponent {m} - {d}")
+    return _series_agree(w, lhs_c, rhs_c, holds, "cell-series form fails at {v}")
 
 
 def verify_poincare_functional_equation(
@@ -332,14 +349,10 @@ def verify_poincare_functional_equation(
         vec_sub(gamma, ones(r)),
         gc_monomial(m - d),
     )
-    bad = ws_eq_on(lhs, rhs, w)
-    if bad is not None:
-        return Verdict(
-            False,
-            f"functional equation fails at {bad}",
-            witness=(bad, lhs.coeff(bad), rhs.coeff(bad)),
-        )
     detail = f"holds with factor exponent {m - d}"
+    verdict = _series_agree(w, lhs, rhs, detail, "functional equation fails at {v}")
+    if not verdict:
+        return verdict
     if ring_like(vm_b) and vm_b.self_dual_by_lengths():
         delta = vec_dot(gamma, vm_b.weights) - vm_b.ell(gamma)
         if m != delta:
@@ -353,60 +366,48 @@ def verify_poincare_functional_equation(
 
 
 def verify_jump_duality(
-    vm_b: ValueModule, vm_bstar: ValueModule | None = None, w: Window | None = None
+    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
 ) -> Verdict:
     """Jump counts of the dual from the module itself:
 
         c_bstar(v) == d - c_b(gamma - v - 1)   (total), and
         c_bstar(v, i) == d_i - c_b(gamma - v - 1_i, i)   (per axis).
 
-    With no dual supplied, only the total form is checked against the
-    module's own dual_c_profile (then it is a tautology used as a
-    consistency probe of the profile implementation).
+    The total form is checked on the whole window first, then each axis.
     """
-    w = _resolve_window(vm_b, w)
-    gamma = vm_b.gamma
-    d = vm_b.d_total()
-    one = ones(vm_b.r)
-    if vm_bstar is None:
-        profile = vm_b.dual_c_profile()
-        for v in w.points():
-            lhs = profile(v)
-            rhs = d - vm_b.c_total(vec_sub(vec_sub(gamma, v), one))
-            if lhs != rhs:
-                return Verdict(False, f"profile total fails at {v}", witness=(v, lhs, rhs))
-        return Verdict(True, "total form holds against the dual profile")
     bad_pair = _pair_check(vm_b, vm_bstar)
     if bad_pair is not None:
         return bad_pair
-    for v in w.points():
-        lhs = vm_bstar.c_total(v)
-        rhs = d - vm_b.c_total(vec_sub(vec_sub(gamma, v), one))
-        if lhs != rhs:
-            return Verdict(False, f"total jump duality fails at {v}", witness=(v, lhs, rhs))
-        for i in range(vm_b.r):
-            li = vm_bstar.c_partial(v, i)
-            probe = tuple(
-                g - x - (1 if j == i else 0) for j, (g, x) in enumerate(zip(gamma, v))
+    w = _resolve_window(vm_b, w)
+    d = vm_b.d_total()
+    verdict = _agree(
+        w,
+        vm_bstar.c_total,
+        lambda v: d - vm_b.mirror(v)[1],
+        "total and per-axis jump duality hold",
+        "total jump duality fails at {v}",
+    )
+    for i in range(vm_b.r):
+        if verdict:
+            verdict = _agree(
+                w,
+                lambda v: vm_bstar.c_partial(v, i),
+                lambda v: vm_b.weights[i] - vm_b.mirror(v, i)[1],
+                verdict.detail,
+                f"axis {i} jump duality fails at {{v}}",
             )
-            ri = vm_b.weights[i] - vm_b.c_partial(probe, i)
-            if li != ri:
-                return Verdict(
-                    False, f"axis {i} jump duality fails at {v}", witness=(v, i, li, ri)
-                )
-    return Verdict(True, "total and per-axis jump duality hold")
+    return verdict
 
 
 def verify_proj_functional_equation(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None,
-    part: str = "both",
+    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None, *, part: str,
 ) -> Verdict:
     """Functional equation for the projectivized series under L -> 1/L.
 
     Both sides are total functions of v; their difference is required to be
     the same class at every window point (the source formalism discards the
-    constant, which equals (L^d - 1)/(L - 1) on the cell side).  Two parts,
-    selectable so callers can gate on them separately:
+    constant, which equals (L^d - 1)/(L - 1) on the cell side).  `part`
+    picks one of two, so callers can gate on them separately:
 
     * cells:    proj_cells_b(gamma - 1 - v) + L^(d-1) * invert_L(proj_cells_bstar(v))
                 must be constant (and equal to (L^d - 1)/(L - 1));
@@ -417,61 +418,36 @@ def verify_proj_functional_equation(
     The poincare part genuinely fails for r >= 2 (see the deviations table);
     it is reported honestly rather than patched.
     """
-    if part not in ("both", "cells", "poincare"):
+    if part not in ("cells", "poincare"):
         raise SingvalError(f"unknown part {part!r}")
     bad_pair = _pair_check(vm_b, vm_bstar)
     if bad_pair is not None:
         return bad_pair
     w = _resolve_window(vm_b, w)
     r = vm_b.r
-    gamma = vm_b.gamma
     d = vm_b.d_total()
-    base = vec_sub(gamma, ones(r))
-    expected = gc_div_exact(gc_add(gc_monomial(d), gc_int(-1)), GC_L_MINUS_1)
-    factor = gc_monomial(d - 1)
+    base = vec_sub(vm_b.gamma, ones(r))
     reflected = Window(vec_sub(base, w.hi), vec_sub(base, w.lo))
+    build = series_proj_cells if part == "cells" else series_proj_poincare
+    factor = gc_monomial(d - 1, 1 if part == "cells" else -((-1) ** r))
+    ser_b = build(vm_b, reflected)
+    ser_s = build(vm_bstar, w)
 
-    if part in ("both", "cells"):
-        cells_b = series_proj_cells(vm_b, reflected)
-        cells_s = series_proj_cells(vm_bstar, w)
-        first = None
-        for v in w.points():
-            res = gc_add(
-                cells_b.coeff(vec_sub(base, v)), gc_mul(factor, gc_invert_L(cells_s.coeff(v)))
-            )
-            if first is None:
-                first = res
-            elif res != first:
-                return Verdict(
-                    False, f"cell residual is not constant at {v}", witness=(v, res, first)
-                )
-        if first != expected:
-            return Verdict(
-                False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
-            )
-        if part == "cells":
-            return Verdict(True, "cell residual constant and equal to (L^d - 1)/(L - 1)")
+    def residual(v: Vec) -> GrothendieckClass:
+        return gc_add(ser_b.coeff(vec_sub(base, v)),
+                      gc_mul(factor, gc_invert_L(ser_s.coeff(v))))
 
-    sign = gc_int((-1) ** r)
-    poin_b = series_proj_poincare(vm_b, reflected)
-    poin_s = series_proj_poincare(vm_bstar, w)
-    first = None
-    for v in w.points():
-        res = gc_add(
-            poin_b.coeff(vec_sub(base, v)),
-            gc_mul(gc_mul(gc_int(-1), sign), gc_mul(factor, gc_invert_L(poin_s.coeff(v)))),
-        )
-        if first is None:
-            first = res
-        elif res != first:
-            return Verdict(
-                False,
-                f"poincare residual is not constant at {v}",
-                witness=(v, res, first),
-            )
     if part == "poincare":
-        return Verdict(True, "poincare residual constant")
-    return Verdict(True, "both residuals constant; cell constant matches (L^d - 1)/(L - 1)")
+        return _constant(w, residual, "poincare residual constant",
+                         "poincare residual is not constant at {v}")
+    verdict = _constant(w, residual, "cell residual constant and equal to (L^d - 1)/(L - 1)",
+                        "cell residual is not constant at {v}")
+    first = residual(w.lo)
+    if verdict and first != gc_div_exact(gc_add(gc_monomial(d), gc_int(-1)), GC_L_MINUS_1):
+        return Verdict(
+            False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
+        )
+    return verdict
 
 
 def verify_proj_bridge_display(vm: ValueModule, w: Window | None = None) -> Verdict:
@@ -482,12 +458,8 @@ def verify_proj_bridge_display(vm: ValueModule, w: Window | None = None) -> Verd
     pad = Window(vec_sub(w.lo, ones(vm.r)), w.hi)
     lhs = ws_mul_poly(series_proj_poincare(vm, pad), poly_full_shift_minus_one(vm.r))
     rhs = ws_mul_poly(series_proj_cells(vm, pad), poly_prod_t_minus_one(vm.r))
-    bad = ws_eq_on(lhs, rhs, w)
-    if bad is None:
-        return Verdict(True, f"display bridge holds on {w.lo}..{w.hi}")
-    return Verdict(
-        False, "display bridge mismatch", witness=(bad, lhs.coeff(bad), rhs.coeff(bad))
-    )
+    return _series_agree(w, lhs, rhs, f"display bridge holds on {w.lo}..{w.hi}",
+                         "display bridge mismatch")
 
 
 def verify_proj_affine_bridge(vm: ValueModule, w: Window | None = None) -> Verdict:
@@ -499,11 +471,13 @@ def verify_proj_affine_bridge(vm: ValueModule, w: Window | None = None) -> Verdi
     one = ones(vm.r)
     ph = series_proj_poincare(vm, w)
     pg = series_poincare(vm, w)
-    for v in w.points():
-        lhs = gc_mul(ph.coeff(v), gc_monomial(vm.deg_J(vec_add(v, one))))
-        if lhs != pg.coeff(v):
-            return Verdict(False, f"affine bridge fails at {v}", witness=(v, lhs, pg.coeff(v)))
-    return Verdict(True, "affine bridge holds pointwise")
+    return _agree(
+        w,
+        lambda v: gc_mul(ph.coeff(v), gc_monomial(vm.deg_J(vec_add(v, one)))),
+        pg.coeff,
+        "affine bridge holds pointwise",
+        "affine bridge fails at {v}",
+    )
 
 
 def verify_proj_support(vm: ValueModule, w: Window | None = None) -> Verdict:

@@ -11,7 +11,7 @@ criteria are computed from that table alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SingvalError
 from .lattice import Vec, Window, iter_box, vec_check
@@ -258,6 +258,20 @@ class ValueModule:
     def d_total(self) -> int:
         return sum(self.weights)
 
+    def mirror(self, v: Vec, i: int | None = None) -> tuple[Vec, int]:
+        """The point paired with v and its jump count there.
+
+        Total form: gamma - v - 1 and c(gamma - v - 1).  With an axis i:
+        gamma - v - 1_i and c(gamma - v - 1_i, i).  The count pairing adds
+        this count to v's own (c(v), or c(v, i)).
+        """
+        g = self.gamma
+        if i is None:
+            w = tuple(gx - x - 1 for gx, x in zip(g, v))
+            return w, self.c_total(w)
+        w = tuple(gx - x - (1 if j == i else 0) for j, (gx, x) in enumerate(zip(g, v)))
+        return w, self.c_partial(w, i)
+
     def self_dual_by_counts(self) -> Verdict:
         """Total-count pairing: c(v) + c(gamma - v - 1) = d for all v.
 
@@ -265,11 +279,9 @@ class ValueModule:
         """
         self._require_unit_weights("the count pairing")
         d = self.d_total()
-        g = self.gamma
-        lo = (-1,) * self.r
-        for v in iter_box(lo, g):
-            w = tuple(gx - x - 1 for gx, x in zip(g, v))
-            s = self.c_total(v) + self.c_total(w)
+        for v in iter_box((-1,) * self.r, self.gamma):
+            w, cw = self.mirror(v)
+            s = self.c_total(v) + cw
             if s != d:
                 return Verdict(False, f"c{v} + c{w} = {s} != {d}", v)
         return Verdict(True, "count pairing is exact on the window")
@@ -277,12 +289,10 @@ class ValueModule:
     def self_dual_by_counts_percoord(self) -> Verdict:
         """Per-coordinate pairing: c(v,i) + c(gamma - v - 1_i, i) = d_i for all v, i."""
         self._require_unit_weights("the per-coordinate count pairing")
-        g = self.gamma
-        lo = (-1,) * self.r
-        for v in iter_box(lo, g):
+        for v in iter_box((-1,) * self.r, self.gamma):
             for i in range(self.r):
-                w = tuple(gx - x - (1 if j == i else 0) for j, (gx, x) in enumerate(zip(g, v)))
-                s = self.c_partial(v, i) + self.c_partial(w, i)
+                w, cw = self.mirror(v, i)
+                s = self.c_partial(v, i) + cw
                 if s != self.weights[i]:
                     return Verdict(False, f"c({v},{i}) + c({w},{i}) = {s} != {self.weights[i]}", (v, i))
         return Verdict(True, "per-coordinate pairing is exact on the window")
@@ -318,8 +328,7 @@ class ValueModule:
         cur = [0] * self.r
         for step, i in enumerate(order):
             v = tuple(cur)
-            w = tuple(gx - x - (1 if j == i else 0) for j, (gx, x) in enumerate(zip(g, v)))
-            s = self.c_partial(v, i) + self.c_partial(w, i)
+            s = self.c_partial(v, i) + self.mirror(v, i)[1]
             if s != self.weights[i]:
                 return Verdict(
                     False,
@@ -338,11 +347,9 @@ class ValueModule:
         """
         self._require_unit_weights("the pairing report")
         d = self.d_total()
-        g = self.gamma
         out = []
-        for v in iter_box((-1,) * self.r, g):
-            w = tuple(gx - x - 1 for gx, x in zip(g, v))
-            s = self.c_total(v) + self.c_total(w)
+        for v in iter_box((-1,) * self.r, self.gamma):
+            s = self.c_total(v) + self.mirror(v)[1]
             if s > d:
                 out.append((v, s, d))
         return out
@@ -387,19 +394,6 @@ class ValueModule:
 
     # -- dual, combinatorially ----------------------------------------------
 
-    def dual_c_profile(self) -> Callable[[Vec], int]:
-        """Total-count profile of the dual module, without constructing it."""
-        self._require_unit_weights("the dual count profile")
-        d = self.d_total()
-        g = self.gamma
-
-        def profile(v: Iterable[int]) -> int:
-            v = vec_check(v, self.r)
-            w = tuple(gx - x - 1 for gx, x in zip(g, v))
-            return d - self.c_total(w)
-
-        return profile
-
     def dual_from_jump_profile(self) -> "ValueModule":
         """The dual as a ValueModule, built from the per-axis jump mirror.
 
@@ -411,18 +405,10 @@ class ValueModule:
         """
         self._require_unit_weights("the dual module")
         g = self.gamma
-        members = []
-        for v in iter_box((0,) * self.r, g):
-            ok = True
-            for i in range(self.r):
-                probe = tuple(
-                    gx - x - (1 if j == i else 0) for j, (gx, x) in enumerate(zip(g, v))
-                )
-                if self.weights[i] - self.c_partial(probe, i) != 1:
-                    ok = False
-                    break
-            if ok:
-                members.append(v)
+        members = [
+            v for v in iter_box((0,) * self.r, g)
+            if all(self.weights[i] - self.mirror(v, i)[1] == 1 for i in range(self.r))
+        ]
         offset = self.deg_offset + sum(gx * d for gx, d in zip(g, self.weights)) \
             - 2 * self.ell(g)
         return ValueModule(self.r, g, members, weights=self.weights,

@@ -1,6 +1,7 @@
 """Finite-dimensional linear algebra over the ring: quotients, colons, duals,
 value tables and finite-field point counts, all against frozen corpus facts."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from singval.algebra import (
     value_set,
     verify_canonical,
 )
+from singval.cli import EXIT_INPUT, main
 from singval.curve import BranchSeries, CurvePresentation, FracIdeal, ring_ideal
 from singval.errors import (
     BadReduction,
@@ -378,6 +380,23 @@ def test_reduction_rejects_vanishing_leading_coefficient():
     curve = CurvePresentation(1, [(series((2, 3), (5, 1)),)])
     with pytest.raises(BadReduction):
         jet_rank_mod_q(curve, 3, 4)
+
+
+def test_reduction_rejects_branches_that_coincide_mod_p(tmp_path, capsys):
+    # A7 as (t, t^4), (t, -t^4): mod 2 the two branches are one, the ring
+    # jets lose rank, and every count would be off
+    curve = CurvePresentation(2, [(series((1, 1)), series((1, 1))),
+                                  (series((4, 1)), series((4, -1)))])
+    with pytest.raises(BadReduction, match="rank 6 mod 2 but 8 over Q"):
+        jet_rank_mod_q(curve, 2, 5)
+    path = tmp_path / "a7.json"
+    path.write_text(json.dumps({
+        "field": "rational",
+        "branches": 2,
+        "ring_generators": [[[[1, 1, 1]], [[1, 1, 1]]], [[[4, 1, 1]], [[4, -1, 1]]]],
+    }))
+    assert main(["count", str(path), "--q", "2", "--level", "5"]) == EXIT_INPUT
+    assert "rank 6 mod 2 but 8 over Q" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- consistency

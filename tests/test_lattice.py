@@ -8,7 +8,6 @@ from singval.lattice import (
     Window,
     WindowSeries,
     iter_box,
-    ws_add,
     ws_build,
     ws_eq_on,
     ws_invert_vars,
@@ -54,24 +53,6 @@ def test_series_coeff_and_unknown_points():
         s.coeff((4,))
     with pytest.raises(SingvalError):
         WindowSeries(w, {(9,): GC_ONE})
-
-
-def test_build_and_add():
-    w = Window((0,), (4,))
-    a = ws_build(w, lambda v: gc_int(v[0]))
-    b = ws_build(w, lambda v: gc_int(1))
-    c = ws_add(a, b, scale=-1)
-    assert c.coeff((3,)) == 2
-    assert ws_eq_on(c, ws_build(w, lambda v: gc_int(v[0] - 1)), w) is None
-
-
-def test_add_meets_windows():
-    a = ws_build(Window((0,), (5,)), lambda v: gc_int(1))
-    b = ws_build(Window((3,), (9,)), lambda v: gc_int(1))
-    c = ws_add(a, b)
-    assert c.window == Window((3,), (5,))
-    with pytest.raises(EmptyResultWindow):
-        ws_add(a, ws_build(Window((7,), (9,)), lambda v: gc_int(1)))
 
 
 def test_scale_vars():

@@ -153,11 +153,6 @@ def test_projective_support_holds_on_corpus(ideal_vms):
         assert verify_proj_support(vm), key
 
 
-def test_jump_profile_self_consistency(ideal_vms):
-    for key, vm in ideal_vms.items():
-        assert verify_jump_duality(vm), key
-
-
 # ---------------------------------------------------------- pair identities
 
 def test_duality_identities_hold_on_corpus(corpus, ideal_vms):
@@ -176,6 +171,32 @@ def test_duality_identities_hold_on_corpus(corpus, ideal_vms):
             assert verify_poincare_functional_equation(vm_b, vm_bstar), key
             assert verify_jump_duality(vm_b, vm_bstar), key
             assert verify_proj_functional_equation(vm_b, vm_bstar, part="cells"), key
+
+
+def test_pair_checks_reject_a_wrong_dual(ring_vms):
+    # the 3-4-5 ring is not Gorenstein, so it is not its own dual even though
+    # the conductors agree: every pair check must fail, at its first bad point
+    vm = ring_vms["semigroup345"]
+    degree = verify_degree_duality(vm, vm)
+    assert not degree
+    assert degree.detail == "degree pairing fails at (2,)"
+    assert degree.witness == ((2,), 1, 0)
+    cells = verify_cell_functional_equation(vm, vm)
+    assert not cells
+    assert cells.detail == "degree-series form fails at (2,)"
+    assert cells.witness == ((2,), gc_monomial(1), GC_ONE)
+    poincare = verify_poincare_functional_equation(vm, vm)
+    assert not poincare
+    assert poincare.detail == "functional equation fails at (1,)"
+    assert poincare.witness == ((1,), gc_monomial(-1), GC_ZERO)
+    jumps = verify_jump_duality(vm, vm)
+    assert not jumps
+    assert jumps.detail == "total jump duality fails at (1,)"
+    assert jumps.witness == ((1,), 0, 1)
+    proj = verify_proj_functional_equation(vm, vm, part="cells")
+    assert not proj
+    assert proj.detail == "cell residual is not constant at (1,)"
+    assert proj.witness == ((1,), GC_ZERO, GC_ONE)
 
 
 def test_degree_duality_constant_is_the_first_arguments_length(corpus, ideal_vms):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from singval.errors import SingvalError
 from singval.lattice import iter_box
+from singval.poincare import verify_jump_duality
 from singval.valuemodule import ValueModule, ring_like
 
 
@@ -243,12 +244,9 @@ def test_profile_dual_matches_gap_set_candidate(rand_mods):
         assert vm.dual_member_candidate() == vm.dual_from_jump_profile().members
 
 
-def test_dual_c_profile_matches_profile_dual_counts(rand_mods):
-    for vm in rand_mods[:25]:
-        prof = vm.dual_c_profile()
-        d = vm.dual_from_jump_profile()
-        for v in iter_box((-1,) * vm.r, tuple(g + 1 for g in vm.gamma)):
-            assert prof(v) == d.c_total(v), (vm, v)
+def test_profile_dual_passes_jump_duality(rand_mods):
+    for vm in rand_mods:
+        assert verify_jump_duality(vm, vm.dual_from_jump_profile()), vm
 
 
 def test_self_dual_iff_profile_dual_equals_module(rand_mods):
