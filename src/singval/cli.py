@@ -38,10 +38,11 @@ from .algebra import (
 )
 from .curve import FracIdeal, ring_ideal
 from .errors import BoundSearchExceeded, EnumerationTooLarge, SchemaError, SingvalError
-from .lattice import Window, ones, vec_add, ws_to_json
+from .lattice import Window, ones, ws_to_json
 from .lefschetz import gc_eval_rational, gc_mul, gc_to_text
 from .poincare import (
     GC_L_MINUS_1,
+    default_window,
     series_cells,
     series_degrees,
     series_poincare,
@@ -128,10 +129,6 @@ def _resolve_canonical(
     return ci.ideals[name], name
 
 
-def _window_for(vm: ValueModule, margin: int) -> Window:
-    return Window(ones(vm.r, -margin), vec_add(vm.gamma, ones(vm.r, margin)))
-
-
 def _self_dual_routes(
     vm: ValueModule,
     b: FracIdeal | None = None,
@@ -188,7 +185,7 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     obj = {
         "file": args.file,
         "branches": curve.r,
-        "branch_degrees": list(vm.weights),
+        "branch_degrees": [1] * curve.r,
         "delta": delta,
         "conductor": list(vm.gamma),
         "type": rho,
@@ -200,7 +197,7 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     lines = [
         f"file: {args.file}",
         f"branches: {curve.r}",
-        f"branch degrees: {_fmt_vec(vm.weights)}",
+        f"branch degrees: {_fmt_vec([1] * curve.r)}",
         f"delta: {delta}",
         f"conductor: {_fmt_vec(vm.gamma)}",
         f"type: {rho}",
@@ -290,7 +287,7 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     if not which:
         raise SchemaError("no series requested")
 
-    w = _window_for(vm, args.margin)
+    w = default_window(vm, args.margin)
     built = {key: SERIES_BUILDERS[key](vm, w) for key in which}
     obj: dict = {
         "file": args.file,

@@ -17,15 +17,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    BoundSearchExceeded,
     PrecisionExhausted,
     SchemaError,
     SingvalError,
     ZeroDivisor,
 )
-from .lattice import Vec, vec_add, vec_check, vec_min
-
-_INF = None  # precision None reads as "known exactly"
+from .lattice import Vec, vec_add, vec_check
 
 
 class BranchSeries:
@@ -221,27 +218,6 @@ def el_min_orders(gens: Sequence[Element], r: int) -> Vec:
     return tuple(mins)  # type: ignore[arg-type]
 
 
-def vmin_combination(gens: Sequence[Element], r: int) -> tuple[Element, Vec]:
-    """A combination of gens whose order vector is their componentwise
-    minimum order vmin; returns it with vmin.
-
-    Scans z = sum l^(j-1) g_j over l = 1, 2, ...  Per branch the leading
-    coefficient at order vmin_i is a nonzero polynomial in l of degree below
-    #gens, so at most r * (#gens - 1) values of l fail and the first
-    r * #gens + 1 values must include a success.
-    """
-    vmin = el_min_orders(gens, r)
-    for lam in range(1, r * len(gens) + 2):
-        z = el_zero(r)
-        w = 1
-        for g in gens:
-            z = el_add(z, el_scale(g, w))
-            w *= lam
-        if all(not x.is_exact_zero() for x in z) and value_of(z) == vmin:
-            return z, vmin
-    raise BoundSearchExceeded("no generator combination realizes the minimal order vector")
-
-
 class CurvePresentation:
     """The local algebra of a reduced curve germ with r smooth branches,
     presented by finitely many exact elements of the product of branch lines.
@@ -252,7 +228,7 @@ class CurvePresentation:
     dropped, and what remains has order >= 1 on every branch it touches.
     """
 
-    __slots__ = ("r", "gens", "z0", "z0_order")
+    __slots__ = ("r", "gens", "z0_order", "conductors")
 
     def __init__(self, r: int, raw_gens: Sequence[Element]):
         if not isinstance(r, int) or r < 1:
@@ -278,9 +254,11 @@ class CurvePresentation:
             raise SchemaError("the ring presentation has no nonconstant generator")
         self.r = r
         self.gens = tuple(gens)
-        # the distinguished nonzerodivisor; finding it also rejects a branch
-        # no generator touches (the normalization would be infinite over the ring)
-        self.z0, self.z0_order = vmin_combination(self.gens, r)
+        # order vector of a nonzerodivisor sum l^(j-1) g_j: per branch its
+        # coefficient at vmin is a nonzero polynomial in l, so some l gives
+        # order exactly vmin.  el_min_orders rejects a branch no generator touches.
+        self.z0_order = el_min_orders(self.gens, r)
+        self.conductors: dict[tuple[Element, ...], Vec] = {}  # generators -> conductor
 
 
 class FracIdeal:
@@ -295,7 +273,7 @@ class FracIdeal:
 
     def __init__(self, curve: CurvePresentation, gens: Sequence[Element], shift: Vec | None = None):
         self.curve = curve
-        self._cond = None  # conductor cache, filled by algebra.conductor_bound
+        self._cond = None  # conductor cache, filled by algebra._gen_conductor
         if shift is None:
             shift = (0,) * curve.r
         self.shift = vec_check(shift, curve.r)
@@ -335,7 +313,10 @@ class FracIdeal:
             raise SingvalError("rebase only to a componentwise larger shift")
         if all(x == 0 for x in d):
             return self
-        return FracIdeal(self.curve, [el_shift(g, d) for g in self.gens], new_shift)
+        out = FracIdeal(self.curve, [el_shift(g, d) for g in self.gens], new_shift)
+        if self._cond is not None:
+            out._cond = vec_add(self._cond, d)
+        return out
 
     def __repr__(self) -> str:
         return f"FracIdeal(r={self.r}, {len(self.gens)} gens, shift={list(self.shift)})"

@@ -103,12 +103,6 @@ class Window:
     def points(self) -> Iterator[Vec]:
         return iter_box(self.lo, self.hi)
 
-    def size(self) -> int:
-        n = 1
-        for l, h in zip(self.lo, self.hi):
-            n *= h - l + 1
-        return n
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Window):
             return NotImplemented

@@ -123,7 +123,6 @@ def _coerce(x: "GrothendieckClass | int") -> GrothendieckClass:
 
 GC_ZERO = GrothendieckClass()
 GC_ONE = GrothendieckClass({0: 1})
-GC_L = GrothendieckClass({1: 1})
 
 
 def gc_int(n: int) -> GrothendieckClass:

@@ -29,7 +29,6 @@ from .lattice import (
     WindowSeries,
     ones,
     vec_add,
-    vec_dot,
     vec_sub,
     ws_build,
     ws_invert_vars,
@@ -81,13 +80,9 @@ def poly_weighted_shift_minus_one(r: int, d: int) -> dict[Vec, GrothendieckClass
     return {ones(r): gc_monomial(d), ones(r, 0): gc_int(-1)}
 
 
-def poly_prod_one_minus_weighted(weights: Vec) -> dict[Vec, GrothendieckClass]:
-    """The product of (1 - L^(d_i) t_i) over all axes."""
-    r = len(weights)
-    out = {}
-    for sign, ind in _subsets(r):
-        out[ind] = gc_monomial(vec_dot(ind, weights), sign)
-    return out
+def poly_prod_one_minus_L_t(r: int) -> dict[Vec, GrothendieckClass]:
+    """The product of (1 - L t_i) over all axes."""
+    return {ind: gc_monomial(sum(ind), sign) for sign, ind in _subsets(r)}
 
 
 # -- series builders -----------------------------------------------------------
@@ -178,8 +173,6 @@ def _resolve_window(vm: ValueModule, w: Window | None) -> Window:
 def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
     if vm_b.r != vm_bstar.r:
         raise SingvalError("the two modules live over different branch counts")
-    if vm_b.weights != vm_bstar.weights:
-        raise SingvalError("the two modules carry different residue weights")
     if vm_b.gamma != vm_bstar.gamma:
         return Verdict(
             False,
@@ -258,7 +251,7 @@ def verify_degree_duality(
     m = vm_b.ell(gamma)
     return _agree(
         w,
-        lambda v: vec_dot(v, vm_b.weights) + vm_b.deg_J(v),
+        lambda v: sum(v) + vm_b.deg_J(v),
         lambda v: m + vm_bstar.deg_J(vec_sub(gamma, v)),
         f"degree pairing holds with constant {m}",
         "degree pairing fails at {v}",
@@ -268,7 +261,7 @@ def verify_degree_duality(
 def verify_cell_functional_equation(
     vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
 ) -> Verdict:
-    """Functional equation for the cell series under t_i -> L^(d_i) t_i.
+    """Functional equation for the cell series under t_i -> L t_i.
 
     Checked twice: once at the degree-series level,
 
@@ -279,7 +272,7 @@ def verify_cell_functional_equation(
         (1 - t_1...t_r) * cells_b(L^d o t)
             == (L^d t_1...t_r - 1) * L^(m-d) * t^(gamma-1) * cells_bstar(1/t),
 
-    where m = ell_b(gamma) and d is the total weight.
+    where m = ell_b(gamma) and d = r is the total residue degree.
     """
     bad_pair = _pair_check(vm_b, vm_bstar)
     if bad_pair is not None:
@@ -287,10 +280,10 @@ def verify_cell_functional_equation(
     w = _resolve_window(vm_b, w)
     r = vm_b.r
     gamma = vm_b.gamma
-    d = vm_b.d_total()
+    d = r
     m = vm_b.ell(gamma)
 
-    lhs_a = ws_scale_vars(series_degrees(vm_b, w), vm_b.weights)
+    lhs_a = ws_scale_vars(series_degrees(vm_b, w), ones(r))
     refl = Window(vec_sub(gamma, w.hi), vec_sub(gamma, w.lo))
     rhs_a = ws_mul_monomial(
         ws_invert_vars(series_degrees(vm_bstar, refl)), gamma, gc_monomial(m)
@@ -302,7 +295,7 @@ def verify_cell_functional_equation(
 
     pad = Window(vec_sub(w.lo, ones(r)), w.hi)
     minus_full = {ones(r, 0): GC_ONE, ones(r): gc_int(-1)}
-    lhs_c = ws_mul_poly(ws_scale_vars(series_cells(vm_b, pad), vm_b.weights), minus_full)
+    lhs_c = ws_mul_poly(ws_scale_vars(series_cells(vm_b, pad), ones(r)), minus_full)
     refl_pad = Window(vec_sub(vec_sub(gamma, ones(r)), w.hi), vec_sub(gamma, w.lo))
     rhs_c = ws_mul_poly(
         ws_mul_monomial(
@@ -321,7 +314,7 @@ def verify_poincare_functional_equation(
     """Functional equation for the Poincare series, cross-multiplied:
 
         prod(t_i - 1) * poincare_b(L^d o t)
-            == L^(m-d) * t^(gamma-1) * prod(1 - L^(d_i) t_i) * poincare_bstar(1/t).
+            == L^(m-d) * t^(gamma-1) * prod(1 - L t_i) * poincare_bstar(1/t).
 
     When the module is ring-like and length-wise self-dual the factor
     exponent m - d coincides with delta - d (checked as a side assertion).
@@ -332,19 +325,19 @@ def verify_poincare_functional_equation(
     w = _resolve_window(vm_b, w)
     r = vm_b.r
     gamma = vm_b.gamma
-    d = vm_b.d_total()
+    d = r
     m = vm_b.ell(gamma)
 
     pad = Window(vec_sub(w.lo, ones(r)), w.hi)
     lhs = ws_mul_poly(
-        ws_scale_vars(series_poincare(vm_b, pad), vm_b.weights),
+        ws_scale_vars(series_poincare(vm_b, pad), ones(r)),
         poly_prod_t_minus_one(r),
     )
     refl_pad = Window(vec_sub(vec_sub(gamma, ones(r)), w.hi), vec_sub(gamma, w.lo))
     rhs = ws_mul_monomial(
         ws_mul_poly(
             ws_invert_vars(series_poincare(vm_bstar, refl_pad)),
-            poly_prod_one_minus_weighted(vm_b.weights),
+            poly_prod_one_minus_L_t(r),
         ),
         vec_sub(gamma, ones(r)),
         gc_monomial(m - d),
@@ -354,7 +347,7 @@ def verify_poincare_functional_equation(
     if not verdict:
         return verdict
     if ring_like(vm_b) and vm_b.self_dual_by_lengths():
-        delta = vec_dot(gamma, vm_b.weights) - vm_b.ell(gamma)
+        delta = sum(gamma) - m
         if m != delta:
             return Verdict(
                 False,
@@ -371,7 +364,7 @@ def verify_jump_duality(
     """Jump counts of the dual from the module itself:
 
         c_bstar(v) == d - c_b(gamma - v - 1)   (total), and
-        c_bstar(v, i) == d_i - c_b(gamma - v - 1_i, i)   (per axis).
+        c_bstar(v, i) == 1 - c_b(gamma - v - 1_i, i)   (per axis).
 
     The total form is checked on the whole window first, then each axis.
     """
@@ -379,7 +372,7 @@ def verify_jump_duality(
     if bad_pair is not None:
         return bad_pair
     w = _resolve_window(vm_b, w)
-    d = vm_b.d_total()
+    d = vm_b.r
     verdict = _agree(
         w,
         vm_bstar.c_total,
@@ -392,7 +385,7 @@ def verify_jump_duality(
             verdict = _agree(
                 w,
                 lambda v: vm_bstar.c_partial(v, i),
-                lambda v: vm_b.weights[i] - vm_b.mirror(v, i)[1],
+                lambda v: 1 - vm_b.mirror(v, i)[1],
                 verdict.detail,
                 f"axis {i} jump duality fails at {{v}}",
             )
@@ -425,7 +418,7 @@ def verify_proj_functional_equation(
         return bad_pair
     w = _resolve_window(vm_b, w)
     r = vm_b.r
-    d = vm_b.d_total()
+    d = r
     base = vec_sub(vm_b.gamma, ones(r))
     reflected = Window(vec_sub(base, w.hi), vec_sub(base, w.lo))
     build = series_proj_cells if part == "cells" else series_proj_poincare
@@ -502,8 +495,8 @@ def verify_gorenstein_tail_identity(vm: ValueModule) -> Verdict:
         # conductor (regular staircase, r >= 2) genuinely breaks the identity.
         raise SingvalError("the tail identity needs the conductor at least 1 in every axis")
     gamma = vm.gamma
-    d = vm.d_total()
-    delta = vec_dot(gamma, vm.weights) - vm.ell(gamma)
+    d = vm.r
+    delta = sum(gamma) - vm.ell(gamma)
     lhs = delta - d
     rhs = vm.ell(vec_sub(gamma, ones(vm.r))) - 1
     if lhs != rhs:

@@ -17,7 +17,7 @@ A generator is a length-r list of series; a series is a list of
 the curve and gives the value module directly:
 
     { "mode": "value-module", "r": 1, "gamma": [2], "members": [[0], [2]],
-      "weights": [1], "deg_offset": 0, "ambient": { ... } }
+      "deg_offset": 0, "ambient": { ... } }
 
 Parse errors carry the JSON path of the offending field.
 """
@@ -130,22 +130,23 @@ def parse_value_module(data: object, path: str = "$") -> ValueModule:
         _expect(isinstance(raw, list) and len(raw) == r, f"{p}[{i}]",
                 f"expected a length-{r} integer list")
         members.append(tuple(_as_int(x, f"{p}[{i}][{j}]") for j, x in enumerate(raw)))
-    weights = vec_field("weights", required=False) or (1,) * r
+    weights = vec_field("weights", required=False)
+    # every branch has residue degree 1; older files may still say so
+    _expect(weights is None or all(d == 1 for d in weights), f"{path}.weights",
+            f"only residue degree 1 is supported, got {list(weights or ())}")
     deg_offset = _as_int(data.get("deg_offset", 0), f"{path}.deg_offset")
     ambient = None
     if data.get("ambient") is not None:
         ambient = parse_value_module(data["ambient"], f"{path}.ambient")
     try:
-        vm = ValueModule(r, gamma, members, weights=weights, deg_offset=deg_offset,
-                         ambient=ambient)
+        vm = ValueModule(r, gamma, members, deg_offset=deg_offset, ambient=ambient)
     except Exception as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    if all(d == 1 for d in vm.weights):
-        good = vm.is_good()
-        if not good:
-            # min-closed tables that are not value sets break the jump
-            # combinatorics; refuse them at the door with the witness
-            raise SchemaError(f"{path}.members: not a value-set table: {good.detail}")
+    good = vm.is_good()
+    if not good:
+        # min-closed tables that are not value sets break the jump
+        # combinatorics; refuse them at the door with the witness
+        raise SchemaError(f"{path}.members: not a value-set table: {good.detail}")
     return vm
 
 
@@ -206,7 +207,6 @@ def value_module_to_json(vm: ValueModule) -> dict:
         "r": vm.r,
         "gamma": list(vm.gamma),
         "members": [list(v) for v in vm.members_sorted()],
-        "weights": list(vm.weights),
         "deg_offset": vm.deg_offset,
     }
     if vm.ambient is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SingvalError
-from .lattice import Vec, Window, iter_box, vec_check
+from .lattice import Vec, iter_box, vec_check
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,20 @@ class ValueModule:
     """Normalized value set of a fractional ideal (or abstract input).
 
     `members` lists the set's points inside [0, gamma]; everything outside
-    the box follows from the clip rule.  `weights` are the residue degrees
-    d_i (the counting operations require them all equal to 1; other values
-    are carried only so series-level formulas can quote d and d_i).
+    the box follows from the clip rule.  Every branch has residue degree
+    d_i = 1, so the total degree d of the series formulas is r.
     `deg_offset` is the degree of the normalized ideal, used by deg_J.
     `ambient` optionally carries the ring's own value set for the module
     structure checks.
     """
 
-    __slots__ = ("r", "gamma", "members", "weights", "deg_offset", "ambient", "_ell_cache")
+    __slots__ = ("r", "gamma", "members", "deg_offset", "ambient", "_ell_cache")
 
     def __init__(
         self,
         r: int,
         gamma: Iterable[int],
         members: Iterable[Iterable[int]],
-        weights: Iterable[int] | None = None,
         deg_offset: int = 0,
         ambient: "ValueModule | None" = None,
     ):
@@ -58,11 +56,6 @@ class ValueModule:
         self.gamma = vec_check(gamma, r)
         if any(x < 0 for x in self.gamma):
             raise SingvalError(f"conductor exponent must be nonnegative, got {self.gamma}")
-        if weights is None:
-            weights = (1,) * r
-        self.weights = vec_check(weights, r)
-        if any(d < 1 for d in self.weights):
-            raise SingvalError(f"branch weights must be positive, got {self.weights}")
         if not isinstance(deg_offset, int):
             raise SingvalError(f"deg_offset must be an integer, got {deg_offset!r}")
         self.deg_offset = deg_offset
@@ -93,16 +86,15 @@ class ValueModule:
                 if m not in mem:
                     raise SingvalError(
                         f"not min-closed: {a} and {b} are members but {m} is not")
-        if all(d == 1 for d in self.weights):
-            # gamma must be the *minimal* conductor: one step below it in any
-            # coordinate, the jump in that coordinate is still zero
-            for i in range(self.r):
-                if g[i] == 0:
-                    continue
-                probe = tuple(x - 1 if j == i else x for j, x in enumerate(g))
-                if self.c_partial(probe, i) != 0:
-                    raise SingvalError(
-                        f"conductor is not minimal: coordinate {i} jump at {probe} is nonzero")
+        # gamma must be the *minimal* conductor: one step below it in any
+        # coordinate, the jump in that coordinate is still zero
+        for i in range(self.r):
+            if g[i] == 0:
+                continue
+            probe = tuple(x - 1 if j == i else x for j, x in enumerate(g))
+            if self.c_partial(probe, i) != 0:
+                raise SingvalError(
+                    f"conductor is not minimal: coordinate {i} jump at {probe} is nonzero")
         if self.ambient is not None:
             amb = self.ambient
             if amb.r != self.r:
@@ -112,28 +104,17 @@ class ValueModule:
                 # hence everything beyond the ambient conductor
                 raise SingvalError(
                     f"module conductor {self.gamma} exceeds the ambient one {amb.gamma}")
-            if all(d == 1 for d in self.weights):
-                for s in amb.members:
-                    for v in self.members:
-                        w = tuple(x + y for x, y in zip(s, v))
-                        if not self.member(w):
-                            raise SingvalError(
-                                f"not a module over the ambient set: {s} + {v} = {w} is missing")
+            for s in amb.members:
+                for v in self.members:
+                    w = tuple(x + y for x, y in zip(s, v))
+                    if not self.member(w):
+                        raise SingvalError(
+                            f"not a module over the ambient set: {s} + {v} = {w} is missing")
 
     # -- basic queries ------------------------------------------------------
 
-    def _require_unit_weights(self, what: str) -> None:
-        if any(d != 1 for d in self.weights):
-            raise SingvalError(
-                f"{what} needs all branch weights equal to 1; "
-                "with larger weights the membership table does not determine it")
-
-    def box(self) -> Window:
-        return Window((0,) * self.r, self.gamma)
-
     def member(self, v: Iterable[int]) -> bool:
         """Membership anywhere in Z^r, via clipping into the box."""
-        self._require_unit_weights("membership")
         v = vec_check(v, self.r)
         if any(x < 0 for x in v):
             return False
@@ -146,7 +127,6 @@ class ValueModule:
         j != i.  Coordinates are clipped into the box first; above gamma_i
         the jump is always 1, below 0 always 0.
         """
-        self._require_unit_weights("the jump count")
         v = vec_check(v, self.r)
         if not 0 <= i < self.r:
             raise SingvalError(f"branch index {i} out of range for r={self.r}")
@@ -185,7 +165,6 @@ class ValueModule:
         Sum of partial jumps along the staircase from 0 up to max(v, 0),
         raising coordinate 0 first, then 1, and so on.
         """
-        self._require_unit_weights("the staircase codimension")
         v = vec_check(v, self.r)
         u = tuple(max(x, 0) for x in v)
         if u in self._ell_cache:
@@ -227,7 +206,6 @@ class ValueModule:
         gamma - 1; with search=True all centers in [-1, gamma + 1] are tried
         and the verdict names the first that works.
         """
-        self._require_unit_weights("the symmetry test")
         if search:
             lo = (-1,) * self.r
             hi = tuple(g + 1 for g in self.gamma)
@@ -255,9 +233,6 @@ class ValueModule:
 
     # -- self-duality criteria ----------------------------------------------
 
-    def d_total(self) -> int:
-        return sum(self.weights)
-
     def mirror(self, v: Vec, i: int | None = None) -> tuple[Vec, int]:
         """The point paired with v and its jump count there.
 
@@ -277,8 +252,7 @@ class ValueModule:
 
         Scanned over [-1, gamma]; both sides are stable outside.
         """
-        self._require_unit_weights("the count pairing")
-        d = self.d_total()
+        d = self.r
         for v in iter_box((-1,) * self.r, self.gamma):
             w, cw = self.mirror(v)
             s = self.c_total(v) + cw
@@ -287,24 +261,22 @@ class ValueModule:
         return Verdict(True, "count pairing is exact on the window")
 
     def self_dual_by_counts_percoord(self) -> Verdict:
-        """Per-coordinate pairing: c(v,i) + c(gamma - v - 1_i, i) = d_i for all v, i."""
-        self._require_unit_weights("the per-coordinate count pairing")
+        """Per-coordinate pairing: c(v,i) + c(gamma - v - 1_i, i) = 1 for all v, i."""
         for v in iter_box((-1,) * self.r, self.gamma):
             for i in range(self.r):
                 w, cw = self.mirror(v, i)
                 s = self.c_partial(v, i) + cw
-                if s != self.weights[i]:
-                    return Verdict(False, f"c({v},{i}) + c({w},{i}) = {s} != {self.weights[i]}", (v, i))
+                if s != 1:
+                    return Verdict(False, f"c({v},{i}) + c({w},{i}) = {s} != 1", (v, i))
         return Verdict(True, "per-coordinate pairing is exact on the window")
 
     def self_dual_by_lengths(self) -> Verdict:
         """Length criterion: twice the codimension at gamma fills the whole box."""
-        self._require_unit_weights("the length criterion")
         lhs = 2 * self.ell(self.gamma)
-        rhs = sum(g * d for g, d in zip(self.gamma, self.weights))
+        rhs = sum(self.gamma)
         if lhs == rhs:
             return Verdict(True, f"2*{lhs // 2} = {rhs}")
-        return Verdict(False, f"2*ell(gamma) = {lhs} != {rhs} = sum(gamma_i d_i)")
+        return Verdict(False, f"2*ell(gamma) = {lhs} != {rhs} = sum(gamma)")
 
     def self_dual_by_chain(self, order: Sequence[int] | None = None) -> Verdict:
         """Chain criterion along one saturated chain from 0 to gamma.
@@ -313,7 +285,6 @@ class ValueModule:
         appear exactly gamma_i times); default raises coordinate 0 first.
         At every chain point the per-coordinate pairing must be exact.
         """
-        self._require_unit_weights("the chain criterion")
         g = self.gamma
         if order is None:
             order = [i for i in range(self.r) for _ in range(g[i])]
@@ -329,10 +300,10 @@ class ValueModule:
         for step, i in enumerate(order):
             v = tuple(cur)
             s = self.c_partial(v, i) + self.mirror(v, i)[1]
-            if s != self.weights[i]:
+            if s != 1:
                 return Verdict(
                     False,
-                    f"step {step} (coordinate {i} at {v}): pairing gives {s} != {self.weights[i]}",
+                    f"step {step} (coordinate {i} at {v}): pairing gives {s} != 1",
                     (v, i),
                 )
             cur[i] += 1
@@ -345,8 +316,7 @@ class ValueModule:
         sum exceeds d.  Empty for rings and self-dual modules; general
         modules can genuinely exceed the bound.
         """
-        self._require_unit_weights("the pairing report")
-        d = self.d_total()
+        d = self.r
         out = []
         for v in iter_box((-1,) * self.r, self.gamma):
             s = self.c_total(v) + self.mirror(v)[1]
@@ -365,7 +335,6 @@ class ValueModule:
         counts and the duality mirrors all rest on it; tables that fail it
         are outside the theory even when min-closed and normalized.
         """
-        self._require_unit_weights("the completion axiom")
         hi = tuple(g + 2 for g in self.gamma)
         pts = [v for v in iter_box((0,) * self.r, hi) if self.member(v)]
         for v in pts:
@@ -397,22 +366,19 @@ class ValueModule:
     def dual_from_jump_profile(self) -> "ValueModule":
         """The dual as a ValueModule, built from the per-axis jump mirror.
 
-        Members are the box points where every mirrored partial jump equals
-        its weight; the degree offset follows from the staircase pairing
-        (deg + gamma.d - 2 ell(gamma)).  This is derived data: checks that
+        Members are the box points where every mirrored partial jump is 0;
+        the degree offset follows from the staircase pairing
+        (deg + sum(gamma) - 2 ell(gamma)).  This is derived data: checks that
         compare a module against its dual accept it only as a clearly
         labeled substitute for a concretely computed dual.
         """
-        self._require_unit_weights("the dual module")
         g = self.gamma
         members = [
             v for v in iter_box((0,) * self.r, g)
-            if all(self.weights[i] - self.mirror(v, i)[1] == 1 for i in range(self.r))
+            if all(self.mirror(v, i)[1] == 0 for i in range(self.r))
         ]
-        offset = self.deg_offset + sum(gx * d for gx, d in zip(g, self.weights)) \
-            - 2 * self.ell(g)
-        return ValueModule(self.r, g, members, weights=self.weights,
-                           deg_offset=offset, ambient=self.ambient)
+        offset = self.deg_offset + sum(g) - 2 * self.ell(g)
+        return ValueModule(self.r, g, members, deg_offset=offset, ambient=self.ambient)
 
     def dual_member_candidate(self) -> frozenset[Vec]:
         """Experimental membership table for the dual, via mirrored gap sets.
@@ -420,7 +386,6 @@ class ValueModule:
         Only cross-checked against concretely computed duals; never used in
         verdicts.
         """
-        self._require_unit_weights("the dual membership candidate")
         g = self.gamma
         out = set()
         for v in iter_box((0,) * self.r, g):
@@ -441,12 +406,11 @@ class ValueModule:
             self.r == other.r
             and self.gamma == other.gamma
             and self.members == other.members
-            and self.weights == other.weights
             and self.deg_offset == other.deg_offset
         )
 
     def __hash__(self) -> int:
-        return hash((self.r, self.gamma, self.members, self.weights, self.deg_offset))
+        return hash((self.r, self.gamma, self.members, self.deg_offset))
 
     def __repr__(self) -> str:
         return (

@@ -198,6 +198,29 @@ def test_enumeration_ceiling_is_resource_error(capsys):
     assert "ceiling" in err or "enumerat" in err.lower()
 
 
+def curve_file(tmp_path, r, gens):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"field": "rational", "branches": r, "ring_generators": gens}))
+    return str(path)
+
+
+def test_conductor_above_the_old_climb_is_found(capsys, tmp_path):
+    # t^9, t^11: conductor (9 - 1)(11 - 1) = 80 and delta half of it
+    path = curve_file(tmp_path, 1, [[[[9, 1, 1]]], [[[11, 1, 1]]]])
+    code, out, _ = run(capsys, "info", path, "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["conductor"], data["delta"]) == ([80], 40)
+
+
+def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
+    # (t, t), (t^3, t^3): both branches are one curve, so no conductor exists
+    path = curve_file(tmp_path, 2, [[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]])
+    code, _, err = run(capsys, "info", path)
+    assert code == EXIT_RESOURCE
+    assert "climb ceiling of 128" in err
+
+
 # ---------------------------------------------------------------- determinism
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

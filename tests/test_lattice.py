@@ -30,7 +30,6 @@ def test_window_validation():
     w = Window((0, -1), (2, 1))
     assert (1, 0) in w and (0, -1) in w and (2, 1) in w
     assert (3, 0) not in w and (1,) not in w
-    assert w.size() == 9
     with pytest.raises(EmptyResultWindow):
         Window((0, 2), (3, 1))
     with pytest.raises(SingvalError):

@@ -30,7 +30,6 @@ from singval.poincare import (
     verify_proj_functional_equation,
     verify_proj_support,
 )
-from singval.valuemodule import ValueModule
 
 
 def canonical_of(ci):
@@ -123,12 +122,6 @@ def test_pair_check_gamma_mismatch(ring_vms):
     bad = verify_degree_duality(ring_vms["cusp"], ring_vms["e8"])
     assert not bad
     assert "conductors differ" in bad.detail
-
-
-def test_pair_check_weight_mismatch(ring_vms):
-    heavy = ValueModule(1, (0,), [(0,)], weights=(2,))
-    with pytest.raises(SingvalError):
-        verify_degree_duality(ring_vms["cusp"], heavy)
 
 
 def test_pair_check_rank_mismatch(ring_vms):

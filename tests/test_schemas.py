@@ -190,7 +190,7 @@ def test_rejects_table_that_is_not_a_value_set():
         parse_value_module(data)
 
 
-def test_weighted_tables_skip_the_value_set_gate():
+def test_weighted_tables_are_rejected():
     data = {
         "mode": "value-module",
         "r": 2,
@@ -198,8 +198,11 @@ def test_weighted_tables_skip_the_value_set_gate():
         "members": [[0, 0], [0, 1], [2, 2]],
         "weights": [2, 2],
     }
-    vm = parse_value_module(data)
-    assert vm.weights == (2, 2)
+    with pytest.raises(SchemaError, match=r"\$\.weights"):
+        parse_value_module(data)
+    # unit residue degrees, as older files wrote them, still load
+    ring = {"mode": "value-module", "r": 1, "gamma": [2], "members": [[0], [2]]}
+    assert parse_value_module({**ring, "weights": [1]}) == parse_value_module(ring)
 
 
 # ------------------------------------------------------------------ file layer

@@ -71,17 +71,6 @@ def test_rejects_module_not_closed_over_ambient():
     ValueModule(2, (2, 2), [(0, 0), (1, 1), (2, 2)], ambient=ring)
 
 
-def test_weights_must_be_positive_and_gate_counting():
-    with pytest.raises(SingvalError):
-        ValueModule(1, (0,), [(0,)], weights=(0,))
-    vm = ValueModule(1, (0,), [(0,)], weights=(2,))
-    with pytest.raises(SingvalError):
-        vm.member((0,))
-    with pytest.raises(SingvalError):
-        vm.ell((1,))
-    assert vm.d_total() == 2
-
-
 # -- membership and jumps -------------------------------------------------------------
 
 
@@ -197,7 +186,7 @@ def test_count_pairing_counterexample_sits_at_one():
     assert not verdict
     assert verdict.witness == (1,)
     # the pointwise pairing genuinely exceeds the branch total there
-    assert vm.c_total((1,)) + vm.c_total((1,)) == 2 > vm.d_total()
+    assert vm.c_total((1,)) + vm.c_total((1,)) == 2 > vm.r
 
 
 def test_pairing_report_empty_for_ring_like_and_self_dual(rand_mods):
@@ -210,8 +199,7 @@ def test_pairing_report_empty_for_ring_like_and_self_dual(rand_mods):
 
 def test_doubled_length_bound_fails_without_self_duality():
     vm = vm345_can()
-    assert 2 * vm.ell(vm.gamma) == 4 > 3 == sum(
-        g * d for g, d in zip(vm.gamma, vm.weights))
+    assert 2 * vm.ell(vm.gamma) == 4 > 3 == sum(vm.gamma)
 
 
 def test_chain_criterion_is_order_insensitive(rand_mods):
