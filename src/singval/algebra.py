@@ -730,18 +730,23 @@ def _modp_jet_basis(curve: CurvePresentation, p: int, N: Vec) -> tuple[list[list
     return rows, layout
 
 
+def _modp_precision(curve: CurvePresentation, p: int, level: int | Vec) -> Vec:
+    """Truncation N = level + 1 of the GF(p) oracle, after the prime check."""
+    if not _is_prime(p):
+        raise SingvalError(f"the specialization oracle needs a prime, got {p}")
+    if isinstance(level, int):
+        level = (level,) * curve.r
+    return tuple(x + 1 for x in vec_check(level, curve.r))
+
+
 def jet_rank_mod_q(curve: CurvePresentation, p: int, level: int | Vec) -> int:
-    """Dimension of the enumerated jet span used by count_points_mod_q.
+    """Dimension of the enumerated jet span used by order_counts_mod_q.
 
     Raises BadReduction when it is below the rank over Q of the ring's jets
     at the same precision: reduction can only lose rank, and a loss means
     the ring mod p is a different ring (two branches that coincide mod p).
     """
-    if not _is_prime(p):
-        raise SingvalError(f"the specialization oracle needs a prime, got {p}")
-    if isinstance(level, int):
-        level = (level,) * curve.r
-    N = tuple(x + 1 for x in vec_check(level, curve.r))
+    N = _modp_precision(curve, p, level)
     rank = len(_modp_jet_basis(curve, p, N)[0])
     over_q = jet_span(ring_ideal(curve), N).rank
     if rank != over_q:
@@ -751,6 +756,53 @@ def jet_rank_mod_q(curve: CurvePresentation, p: int, level: int | Vec) -> int:
     return rank
 
 
+def order_counts_mod_q(
+    curve: CurvePresentation,
+    p: int,
+    level: int | Vec,
+    ceiling: int = 2 ** 24,
+) -> dict[Vec, int]:
+    """Brute-force cylinder counts over the prime field, by exact order vector.
+
+    Enumerates every element of the ring's jet span at truncation N = level + 1
+    and counts each exact order vector, with N_i where branch i vanishes to the
+    precision.  Deliberately naive: it is the independent oracle the motivic
+    series are checked against, and shares nothing with value_set but the jet
+    basis.  The p^rank coefficient words are walked once in p-ary Gray-code
+    order: a counter steps its lowest digit below p - 1, and the Gray word
+    then changes in that one digit by +1, so each element is the previous one
+    plus one basis row.
+    """
+    N = _modp_precision(curve, p, level)
+    rows, layout = _modp_jet_basis(curve, p, N)
+    rank = len(rows)
+    if p ** rank > ceiling:
+        raise EnumerationTooLarge(
+            f"{p}^{rank} vectors exceed the enumeration ceiling {ceiling}")
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    spans = [(base, base + n) for base, n in zip(layout.offsets, N)]
+    vec = [0] * layout.ncols
+    counter = [0] * rank
+    counts = {N: 1}
+    for _ in range(p ** rank - 1):
+        k = 0
+        while counter[k] == p - 1:
+            counter[k] = 0
+            k += 1
+        counter[k] += 1
+        for j, x in sparse[k]:
+            vec[j] = (vec[j] + x) % p
+        orders = []
+        for lo, hi in spans:
+            j = lo
+            while j < hi and not vec[j]:
+                j += 1
+            orders.append(j - lo)
+        key = tuple(orders)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def count_points_mod_q(
     curve: CurvePresentation,
     p: int,
@@ -758,14 +810,7 @@ def count_points_mod_q(
     level: int | Vec,
     ceiling: int = 2 ** 24,
 ) -> int:
-    """Brute-force cylinder count over the prime field.
-
-    Enumerates every element of the ring's jet span at truncation level + 1
-    and counts those whose exact order vector is v.  Deliberately naive: it
-    is the independent oracle the motivic series are checked against.
-    """
-    if not _is_prime(p):
-        raise SingvalError(f"the specialization oracle needs a prime, got {p}")
+    """Number of jets over the prime field whose exact order vector is v."""
     v = vec_check(v, curve.r)
     if isinstance(level, int):
         level = (level,) * curve.r
@@ -774,28 +819,4 @@ def count_points_mod_q(
         raise SingvalError(f"order vector must be nonnegative, got {v}")
     if not all(x < l for x, l in zip(v, level)):
         raise SingvalError(f"level {level} must exceed the order vector {v} componentwise")
-    N = tuple(x + 1 for x in level)
-    rows, layout = _modp_jet_basis(curve, p, N)
-    rank = len(rows)
-    if p ** rank > ceiling:
-        raise EnumerationTooLarge(
-            f"{p}^{rank} vectors exceed the enumeration ceiling {ceiling}")
-    offsets = layout.offsets
-    count = 0
-    for combo in iter_product(range(p), repeat=rank):
-        vec = [0] * layout.ncols
-        for c, row in zip(combo, rows):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        vec[j] = (vec[j] + c * x) % p
-        ok = True
-        for i in range(curve.r):
-            base = offsets[i]
-            ordv = next((e for e in range(N[i]) if vec[base + e]), None)
-            if ordv != v[i]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return order_counts_mod_q(curve, p, level, ceiling).get(v, 0)

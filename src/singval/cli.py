@@ -24,7 +24,6 @@ from typing import Callable, Sequence, TextIO
 
 from .algebra import (
     colon,
-    count_points_mod_q,
     dim_quotient,
     dual,
     gorenstein_by_lengths,
@@ -32,6 +31,7 @@ from .algebra import (
     lengths_report,
     max_ideal,
     normalization_ideal,
+    order_counts_mod_q,
     self_dual_direct,
     value_set,
     verify_canonical,
@@ -502,19 +502,17 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    ci = _concrete(load_input(args.file))
-    if args.level < 1:
-        raise SchemaError(f"level must be at least 1, got {args.level}")
-    curve = ci.curve
+    curve = _concrete(load_input(args.file)).curve
     vm = value_set(ring_ideal(curve), margin=args.margin)
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
     pg = series_poincare(vm, w)
     rank = jet_rank_mod_q(curve, args.q, args.level)
+    counts = order_counts_mod_q(curve, args.q, args.level, ceiling=args.ceiling)
     scale = Fraction(args.q) ** rank
     table = []
     all_ok = True
     for v in w.points():
-        counted = count_points_mod_q(curve, args.q, v, args.level, ceiling=args.ceiling)
+        counted = counts.get(v, 0)
         predicted = gc_eval_rational(gc_mul(GC_L_MINUS_1, pg.coeff(v)), args.q) * scale
         ok = predicted.denominator == 1 and predicted == counted
         all_ok = all_ok and ok
@@ -608,6 +606,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise SchemaError(f"margin must be at least 1, got {args.margin}")
         if getattr(args, "q", None) is not None and args.q < 2:
             raise SchemaError(f"specialization needs q >= 2, got {args.q}")
+        if args.command == "count":
+            if args.level < 1:
+                raise SchemaError(f"level must be at least 1, got {args.level}")
+            if args.ceiling < 1:
+                raise SchemaError(f"enumeration ceiling must be at least 1, got {args.ceiling}")
         return args.func(args, sys.stdout)
     except (EnumerationTooLarge, BoundSearchExceeded) as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)

@@ -2,12 +2,15 @@
 value tables and finite-field point counts, all against frozen corpus facts."""
 
 import json
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from singval.algebra import (
     LengthsReport,
+    _modp_jet_basis,
     colon,
     conductor_bound,
     contains_module,
@@ -22,6 +25,7 @@ from singval.algebra import (
     module_equal,
     monomial_ideal,
     normalization_ideal,
+    order_counts_mod_q,
     self_dual_direct,
     value_set,
     verify_canonical,
@@ -368,6 +372,47 @@ def test_point_counts(curves):
             assert got == want, (name, q, v)
 
 
+def _naive_order_counts(curve, p, level):
+    """Reference histogram: every coefficient word is rebuilt from all basis
+    rows, with no Gray-code walk and no running vector."""
+    N = (level + 1,) * curve.r
+    rows, layout = _modp_jet_basis(curve, p, N)
+    counts = {}
+    for combo in product(range(p), repeat=len(rows)):
+        vec = [0] * layout.ncols
+        for c, row in zip(combo, rows):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        vec[j] = (vec[j] + c * x) % p
+        key = tuple(next((e for e in range(n) if vec[base + e]), n)
+                    for base, n in zip(layout.offsets, N))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _check_against_naive(curve, p, level):
+    rank = jet_rank_mod_q(curve, p, level)
+    got = order_counts_mod_q(curve, p, level)
+    assert sum(got.values()) == p ** rank
+    assert got == _naive_order_counts(curve, p, level)
+
+
+def test_order_counts_match_the_naive_enumeration(curves):
+    # the highest level with p^rank <= 2^12, for every corpus curve and prime
+    for curve in curves.values():
+        for p in (2, 3, 5):
+            level = 1
+            while p ** jet_rank_mod_q(curve, p, level + 1) <= 2 ** 12:
+                level += 1
+            _check_against_naive(curve, p, level)
+    # an ordinary triple point: three lines with slopes 0, 1, 2, distinct mod 3
+    triple = CurvePresentation(3, [(series((1, 1)), series((1, 1)), series((1, 1))),
+                                   (series(), series((1, 1)), series((1, 2)))])
+    assert jet_rank_mod_q(triple, 3, 2) == 6
+    _check_against_naive(triple, 3, 2)
+
+
 def test_count_rejects_composite_modulus(curves):
     with pytest.raises(SingvalError):
         count_points_mod_q(curves["cusp"], 4, (0,), 3)
@@ -378,6 +423,11 @@ def test_count_rejects_composite_modulus(curves):
 def test_count_respects_enumeration_ceiling(curves):
     with pytest.raises(EnumerationTooLarge):
         count_points_mod_q(curves["node"], 2, (0, 0), 4, ceiling=100)
+    # the default ceiling stops 2^61 vectors before any is enumerated
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match="2\\^61 vectors"):
+        order_counts_mod_q(curves["node"], 2, 30)
+    assert time.perf_counter() - start < 5
 
 
 def test_bad_reduction_detected():

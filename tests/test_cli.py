@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from singval import algebra
 from singval.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
 from conftest import CORPUS
@@ -196,6 +197,36 @@ def test_enumeration_ceiling_is_resource_error(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "ceiling" in err or "enumerat" in err.lower()
+
+
+def test_ceiling_or_level_below_one_is_input_error(capsys):
+    # no enumeration fits under a ceiling of 0: bad input, not a spent resource
+    code, _, err = run(
+        capsys, "count", corpus_file("node"), "--q", "2", "--level", "4",
+        "--ceiling", "0",
+    )
+    assert code == EXIT_INPUT
+    assert "ceiling must be at least 1, got 0" in err
+    code, _, err = run(capsys, "count", corpus_file("node"), "--q", "2", "--level", "0")
+    assert code == EXIT_INPUT
+    assert "level must be at least 1, got 0" in err
+
+
+def test_count_enumerates_the_span_once(capsys, monkeypatch):
+    # one basis for the rank check and one for the histogram, however many
+    # order vectors the window holds (3^2 here)
+    builds = []
+    real = algebra._modp_jet_basis
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_modp_jet_basis", counted)
+    code, out, _ = run(capsys, "count", corpus_file("node"), "--q", "3", "--level", "3")
+    assert code == EXIT_OK
+    assert out.count("counted=") == 9
+    assert len(builds) <= 2
 
 
 def curve_file(tmp_path, r, gens):

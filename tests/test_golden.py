@@ -29,6 +29,7 @@ MANIFEST = {
     "verify_node_all.txt": ["verify", "corpus/node.json", "--all-ideals"],
     "verify_abstract.txt": ["verify", "corpus/abstract_e8.json"],
     "count_cusp.txt": ["count", "corpus/cusp.json", "--q", "2", "--level", "4"],
+    "count_node.txt": ["count", "corpus/node.json", "--q", "3", "--level", "3"],
 }
 
 
