@@ -7,7 +7,9 @@ generator module G contains the full monomial band t^m * (product of power
 series rings), then truncating at N = m + (order of a nonzerodivisor) loses
 nothing -- membership, dimensions and colon systems at that precision are
 exact, not approximate.  Conductor bounds are always *certified* by checking
-band containment at jet level before they are used.
+band containment at jet level before they are used.  One row space
+(RowSpaceQ) and one jet closure (JetSpace) serve both the rationals and,
+for the counting oracle, the prime fields.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .curve import (
     el_add,
     el_is_exact_zero,
     el_mul,
+    el_one,
     el_scale,
     el_shift,
-    el_trunc,
     el_unit_monomial,
     el_zero,
     ideal_product,
@@ -58,56 +60,68 @@ DIRECT_PROBE_COMBOS = 8
 
 
 class RowSpaceQ:
-    """A row space over the rationals kept in reduced echelon form.
+    """A row space kept in reduced echelon form, over the rationals or, when
+    a prime p is given, over GF(p) with entries as ints in [0, p).
 
     Column order is fixed by the caller; pivots are the first nonzero
     columns, so echelon rows sort by leading column and every question
-    (rank, membership, residual) is a single reduction pass.
+    (rank, membership, residual) is a single reduction pass.  The reduced
+    echelon form of a span is unique, so the rows do not depend on the
+    order in which a span is added.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("ncols", "p", "rows", "pivots")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, p: int = 0):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.p = p
+        self.rows: list[list] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def residual(self, row: Sequence[Fraction]) -> list[Fraction]:
+    def residual(self, row: Sequence) -> list:
         v = list(row)
         if len(v) != self.ncols:
             raise SingvalError(f"row has {len(v)} entries, space has {self.ncols} columns")
-        for p, r in zip(self.pivots, self.rows):
-            c = v[p]
+        p = self.p
+        for pc, r in zip(self.pivots, self.rows):
+            c = v[pc] % p if p else v[pc]
             if c:
-                for j in range(p, self.ncols):
+                for j in range(pc, self.ncols):
                     if r[j]:  # skip zeros: Fraction arithmetic dominates the cost
                         v[j] -= c * r[j]
-        return v
+        return [x % p for x in v] if p else v
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
+    def contains(self, row: Sequence) -> bool:
         return not any(self.residual(row))
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Sequence) -> bool:
         """Insert a row; returns True when the rank grew."""
         v = self.residual(row)
-        p = next((j for j, c in enumerate(v) if c), None)
-        if p is None:
+        pc = next((j for j, c in enumerate(v) if c), None)
+        if pc is None:
             return False
-        inv = v[p]
-        v = [c / inv if c else c for c in v]
+        p = self.p
+        if p:
+            inv = pow(v[pc], -1, p)
+            v = [c * inv % p for c in v]
+        else:
+            inv = v[pc]
+            v = [c / inv if c else c for c in v]
         for r in self.rows:
-            c = r[p]
+            c = r[pc]
             if c:
-                for j in range(p, self.ncols):
+                for j in range(pc, self.ncols):
                     if v[j]:
                         r[j] -= c * v[j]
-        k = next((idx for idx, q in enumerate(self.pivots) if q > p), len(self.pivots))
+                if p:
+                    r[pc:] = [x % p for x in r[pc:]]
+        k = next((idx for idx, q in enumerate(self.pivots) if q > pc), len(self.pivots))
         self.rows.insert(k, v)
-        self.pivots.insert(k, p)
+        self.pivots.insert(k, pc)
         return True
 
 
@@ -121,10 +135,24 @@ def _rank_of(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
 # -- jets ---------------------------------------------------------------------
 
 
+def _reduce(c: Fraction, p: int, nonzero: bool = False) -> int:
+    """c mod p.  With nonzero, a nonzero c that vanishes mod p raises too: a
+    ring generator losing a term would silently change the curve."""
+    if c.denominator % p == 0:
+        raise BadReduction(f"coefficient {c} has denominator divisible by {p}")
+    v = c.numerator * pow(c.denominator, -1, p) % p
+    if nonzero and c and not v:
+        raise BadReduction(
+            f"nonzero coefficient {c} vanishes mod {p}; the reduction would "
+            "change the curve")
+    return v
+
+
 @dataclass(frozen=True)
 class JetLayout:
     """Branch-major coordinates for the truncation at N: column (i, e) with
-    0 <= e < N_i sits at offset_i + e."""
+    0 <= e < N_i sits at offset_i + e.  Rows hold Fractions, or ints mod p
+    when a prime p is passed."""
 
     N: Vec
 
@@ -145,14 +173,17 @@ class JetLayout:
     def ncols(self) -> int:
         return sum(self.N)
 
-    def element_row(self, z: Element) -> list[Fraction]:
-        row: list[Fraction] = []
+    def element_row(self, z: Element, p: int = 0) -> list:
+        """The coefficients of z below N, reduced mod p when p is given; z
+        must be known that far."""
+        row: list = []
         for i, x in enumerate(z):
             for e in range(self.N[i]):
                 if x.prec is not None and e >= x.prec:
                     raise SingvalError(
                         f"element only known to precision {x.prec} on branch {i}, need {self.N[i]}")
-                row.append(x.coeffs.get(e, _ZERO))
+                c = x.coeffs.get(e, _ZERO)
+                row.append(_reduce(c, p) if p else c)
         return row
 
     def unit_row(self, i: int, e: int) -> list[Fraction]:
@@ -160,34 +191,53 @@ class JetLayout:
         row[self.offsets[i] + e] = Fraction(1)
         return row
 
+    def times(self, row: Sequence, gen: Sequence[Sequence[tuple]], p: int = 0) -> list:
+        """The row of the product of row's element with gen, truncated at N.
+
+        gen holds one list of (exponent, coefficient) pairs per branch, all
+        exponents nonnegative; only the products below N are formed.
+        """
+        out: list = [0 if p else _ZERO] * self.ncols
+        for base, n, terms in zip(self.offsets, self.N, gen):
+            for e, c in terms:
+                for k in range(base, base + n - e):
+                    a = row[k]
+                    if a:
+                        out[k + e] += c * a
+        return [x % p for x in out] if p else out
+
 
 class JetSpace:
-    """Row-reduced image of a generator module inside the truncation at N.
+    """Row-reduced image of a generator module inside the truncation at N,
+    over the rationals or, when a prime p is given, over GF(p).
 
     Built by closing the generator rows under multiplication by the curve's
     algebra generators.  Dropping rows that do not grow the rank is sound:
     truncation commutes with multiplication by elements of nonnegative
-    order, so a dependent truncated element contributes nothing new.
+    order, so a dependent truncated element contributes nothing new.  Mod p
+    every generator coefficient below N must reduce to a nonzero residue,
+    or BadReduction is raised.
     """
 
     __slots__ = ("layout", "space")
 
-    def __init__(self, curve: CurvePresentation, gens: Sequence[Element], N: Vec):
+    def __init__(self, curve: CurvePresentation, gens: Sequence[Element], N: Vec, p: int = 0):
         N = vec_check(N, curve.r)
         if any(n < 1 for n in N):
             raise SingvalError(f"jet precision must be positive on every branch, got {N}")
         layout = JetLayout(N)
-        space = RowSpaceQ(layout.ncols)
-        queue: list[Element] = []
-        for g in gens:
-            t = el_trunc(g, N)
-            if space.add(layout.element_row(t)):
-                queue.append(t)
+        space = RowSpaceQ(layout.ncols, p)
+        mults = [
+            [[(e, _reduce(c, p, nonzero=True) if p else c) for e, c in x.coeffs.items() if e < n]
+             for x, n in zip(m, N)]
+            for m in curve.gens
+        ]
+        queue = [row for row in (layout.element_row(g, p) for g in gens) if space.add(row)]
         while queue:
             x = queue.pop()
-            for m in curve.gens:
-                y = el_trunc(el_mul(x, m), N)
-                if space.add(layout.element_row(y)):
+            for m in mults:
+                y = layout.times(x, m, p)
+                if space.add(y):
                     queue.append(y)
         self.layout = layout
         self.space = space
@@ -197,7 +247,7 @@ class JetSpace:
         return self.space.rank
 
     def contains_element(self, z: Element) -> bool:
-        return self.space.contains(self.layout.element_row(el_trunc(z, self.layout.N)))
+        return self.space.contains(self.layout.element_row(z))
 
     def dim_at_least(self, w: Vec) -> int:
         """Dimension of the subspace of rows supported on columns (i, e) with
@@ -283,12 +333,6 @@ def _gen_conductor(a: FracIdeal) -> Vec:
     out = tuple(hi)
     a._cond = a.curve.conductors[a.gens] = out
     return out
-
-
-def conductor_bound(a: FracIdeal) -> Vec:
-    """Certified minimal m such that every element with orders >= m lies in
-    the fractional ideal (in actual value coordinates, shift included)."""
-    return vec_sub(_gen_conductor(a), a.shift)
 
 
 # -- membership, containment, dimensions --------------------------------------
@@ -421,7 +465,7 @@ def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
             stacked: list[Fraction] = []
             for g in b2.gens:
                 w = el_mul(el_unit_monomial(r, i, e), g)
-                stacked.extend(space.space.residual(space.layout.element_row(el_trunc(w, M))))
+                stacked.extend(space.space.residual(space.layout.element_row(w)))
             cols.append(stacked)
         nrows = len(cols[0])
         constraint = [[cols[u][k] for u in range(len(unknowns))] for k in range(nrows)]
@@ -642,92 +686,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _modp_gen_coeffs(curve: CurvePresentation, p: int, N: Vec) -> list[list[dict[int, int]]]:
-    """Curve generators reduced mod p, as per-branch exponent->residue maps.
-
-    Conservative rejection: any nonzero exact coefficient that reduces to 0
-    would silently change the ring, so it raises BadReduction.
-    """
-    out = []
-    for g in curve.gens:
-        comps = []
-        for i, x in enumerate(g):
-            red: dict[int, int] = {}
-            for e, c in x.coeffs.items():
-                if e >= N[i]:
-                    continue
-                if c.denominator % p == 0:
-                    raise BadReduction(f"coefficient {c} has denominator divisible by {p}")
-                num = c.numerator % p
-                den = pow(c.denominator % p, p - 2, p)
-                v = (num * den) % p
-                if v == 0:
-                    raise BadReduction(
-                        f"nonzero coefficient {c} vanishes mod {p}; the reduction would "
-                        "change the curve")
-                red[e] = v
-            comps.append(red)
-        out.append(comps)
-    return out
-
-
-def _modp_rref_add(rows: list[list[int]], pivots: list[int], vec: list[int], p: int) -> bool:
-    v = vec[:]
-    n = len(v)
-    for pc, r in zip(pivots, rows):
-        c = v[pc]
-        if c:
-            for j in range(pc, n):
-                v[j] = (v[j] - c * r[j]) % p
-    piv = next((j for j, c in enumerate(v) if c), None)
-    if piv is None:
-        return False
-    inv = pow(v[piv], p - 2, p)
-    v = [(c * inv) % p for c in v]
-    for r in rows:
-        c = r[piv]
-        if c:
-            for j in range(piv, n):
-                r[j] = (r[j] - c * v[j]) % p
-    k = next((idx for idx, q in enumerate(pivots) if q > piv), len(pivots))
-    rows.insert(k, v)
-    pivots.insert(k, piv)
-    return True
-
-
 def _modp_jet_basis(curve: CurvePresentation, p: int, N: Vec) -> tuple[list[list[int]], JetLayout]:
     """Row basis of the curve ring's jets at N over the prime field."""
-    layout = JetLayout(N)
-    gens = _modp_gen_coeffs(curve, p, N)
-    offsets = layout.offsets
-
-    def mul_gen(row: list[int], g: list[dict[int, int]]) -> list[int]:
-        out = [0] * layout.ncols
-        for i in range(curve.r):
-            base = offsets[i]
-            comp = g[i]
-            for e, c in comp.items():
-                for k in range(N[i] - e):
-                    a = row[base + k]
-                    if a:
-                        out[base + e + k] = (out[base + e + k] + c * a) % p
-        return out
-
-    one = [0] * layout.ncols
-    for i in range(curve.r):
-        one[offsets[i]] = 1
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    queue = []
-    if _modp_rref_add(rows, pivots, one, p):
-        queue.append(one)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = mul_gen(x, g)
-            if _modp_rref_add(rows, pivots, y, p):
-                queue.append(y)
-    return rows, layout
+    space = JetSpace(curve, [el_one(curve.r)], N, p)
+    return space.space.rows, space.layout
 
 
 def _modp_precision(curve: CurvePresentation, p: int, level: int | Vec) -> Vec:
@@ -766,12 +728,14 @@ def order_counts_mod_q(
 
     Enumerates every element of the ring's jet span at truncation N = level + 1
     and counts each exact order vector, with N_i where branch i vanishes to the
-    precision.  Deliberately naive: it is the independent oracle the motivic
-    series are checked against, and shares nothing with value_set but the jet
-    basis.  The p^rank coefficient words are walked once in p-ary Gray-code
-    order: a counter steps its lowest digit below p - 1, and the Gray word
-    then changes in that one digit by +1, so each element is the previous one
-    plus one basis row.
+    precision.  Deliberately naive: it is the oracle the motivic series are
+    checked against.  It shares the jet engine (JetSpace, over GF(p) here)
+    with value_set; what stays independent is the use made of the span: this
+    enumerates its elements, while value_set extracts jump dimensions from
+    ranks and the series are built from those.  The p^rank coefficient words
+    are walked once in p-ary Gray-code order: a counter steps its lowest
+    digit below p - 1, and the Gray word then changes in that one digit by
+    +1, so each element is the previous one plus one basis row.
     """
     N = _modp_precision(curve, p, level)
     rows, layout = _modp_jet_basis(curve, p, N)

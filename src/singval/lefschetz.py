@@ -247,24 +247,3 @@ def gc_to_json(a: GrothendieckClass) -> list[list]:
     readers that parse numbers as doubles.
     """
     return [[e, str(c)] for e, c in a._terms.items()]
-
-
-def gc_from_json(data: object) -> GrothendieckClass:
-    if not isinstance(data, list):
-        raise SingvalError(f"class JSON must be a list, got {type(data).__name__}")
-    out: dict[int, int] = {}
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise SingvalError(f"class JSON term must be [exp, coeff], got {item!r}")
-        e, c = item
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise SingvalError(f"class JSON exponent must be int, got {e!r}")
-        try:
-            ci = int(c)
-        except (TypeError, ValueError):
-            raise SingvalError(f"class JSON coefficient must be an integer string, got {c!r}")
-        if e in out:
-            raise SingvalError(f"class JSON repeats exponent {e}")
-        if ci:
-            out[e] = ci
-    return GrothendieckClass(out)

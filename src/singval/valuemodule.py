@@ -380,20 +380,6 @@ class ValueModule:
         offset = self.deg_offset + sum(g) - 2 * self.ell(g)
         return ValueModule(self.r, g, members, deg_offset=offset, ambient=self.ambient)
 
-    def dual_member_candidate(self) -> frozenset[Vec]:
-        """Experimental membership table for the dual, via mirrored gap sets.
-
-        Only cross-checked against concretely computed duals; never used in
-        verdicts.
-        """
-        g = self.gamma
-        out = set()
-        for v in iter_box((0,) * self.r, g):
-            n = tuple(gx - 1 - x for gx, x in zip(g, v))
-            if not self.delta_any(n):
-                out.add(v)
-        return frozenset(out)
-
     # -- plumbing -------------------------------------------------------------
 
     def members_sorted(self) -> list[Vec]:

@@ -7,12 +7,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singval.algebra import (
+    JetLayout,
     LengthsReport,
+    _gen_conductor,
     _modp_jet_basis,
     colon,
-    conductor_bound,
     contains_module,
     count_points_mod_q,
     degree,
@@ -35,6 +37,8 @@ from singval.curve import (
     BranchSeries,
     CurvePresentation,
     FracIdeal,
+    el_mul,
+    el_trunc,
     ideal_product,
     ideal_sum,
     ring_ideal,
@@ -45,6 +49,7 @@ from singval.errors import (
     NotContained,
     SingvalError,
 )
+from singval.lattice import vec_sub
 
 
 def series(*pairs, prec=None):
@@ -62,14 +67,19 @@ CONDUCTORS = {
 }
 
 
+def conductor(b):
+    """Certified conductor in value coordinates, the shift taken off."""
+    return vec_sub(_gen_conductor(b), b.shift)
+
+
 def test_ring_conductors(curves):
     for name, want in CONDUCTORS.items():
-        assert conductor_bound(ring_ideal(curves[name])) == want, name
+        assert conductor(ring_ideal(curves[name])) == want, name
 
 
 def test_ideal_conductor(corpus):
     b = corpus["e8"].curve_input.ideals["nonprincipal"]
-    assert conductor_bound(b) == (6,)
+    assert conductor(b) == (6,)
 
 
 # ---------------------------------------------------------------- membership
@@ -372,6 +382,12 @@ def test_point_counts(curves):
             assert got == want, (name, q, v)
 
 
+def triple_point():
+    """An ordinary triple point: three lines with slopes 0, 1, 2, distinct mod 3."""
+    return CurvePresentation(3, [(series((1, 1)), series((1, 1)), series((1, 1))),
+                                 (series(), series((1, 1)), series((1, 2)))])
+
+
 def _naive_order_counts(curve, p, level):
     """Reference histogram: every coefficient word is rebuilt from all basis
     rows, with no Gray-code walk and no running vector."""
@@ -406,9 +422,7 @@ def test_order_counts_match_the_naive_enumeration(curves):
             while p ** jet_rank_mod_q(curve, p, level + 1) <= 2 ** 12:
                 level += 1
             _check_against_naive(curve, p, level)
-    # an ordinary triple point: three lines with slopes 0, 1, 2, distinct mod 3
-    triple = CurvePresentation(3, [(series((1, 1)), series((1, 1)), series((1, 1))),
-                                   (series(), series((1, 1)), series((1, 2)))])
+    triple = triple_point()
     assert jet_rank_mod_q(triple, 3, 2) == 6
     _check_against_naive(triple, 3, 2)
 
@@ -430,16 +444,157 @@ def test_count_respects_enumeration_ceiling(curves):
     assert time.perf_counter() - start < 5
 
 
+def half_coefficient():
+    """t^2 + t^3/2: no reduction mod 2."""
+    return CurvePresentation(1, [(series((2, 1), (3, Fraction(1, 2))),)])
+
+
+def vanishing_leading_coefficient():
+    """3t^2 + t^5: the leading term vanishes mod 3."""
+    return CurvePresentation(1, [(series((2, 3), (5, 1)),)])
+
+
 def test_bad_reduction_detected():
-    curve = CurvePresentation(1, [(series((2, 1), (3, Fraction(1, 2))),)])
-    with pytest.raises(BadReduction):
-        jet_rank_mod_q(curve, 2, 4)
+    with pytest.raises(BadReduction, match="denominator divisible by 2"):
+        jet_rank_mod_q(half_coefficient(), 2, 4)
 
 
 def test_reduction_rejects_vanishing_leading_coefficient():
-    curve = CurvePresentation(1, [(series((2, 3), (5, 1)),)])
-    with pytest.raises(BadReduction):
-        jet_rank_mod_q(curve, 3, 4)
+    with pytest.raises(BadReduction, match="vanishes mod 3"):
+        jet_rank_mod_q(vanishing_leading_coefficient(), 3, 4)
+
+
+# Reference GF(p) basis with its own generator reduction, row reduction and
+# closure, sharing no code with RowSpaceQ and JetSpace.
+
+def _reference_gen_coeffs(curve, p, N):
+    out = []
+    for g in curve.gens:
+        comps = []
+        for i, x in enumerate(g):
+            red = {}
+            for e, c in x.coeffs.items():
+                if e >= N[i]:
+                    continue
+                if c.denominator % p == 0:
+                    raise BadReduction(f"coefficient {c} has denominator divisible by {p}")
+                num = c.numerator % p
+                den = pow(c.denominator % p, p - 2, p)
+                v = (num * den) % p
+                if v == 0:
+                    raise BadReduction(
+                        f"nonzero coefficient {c} vanishes mod {p}; the reduction would "
+                        "change the curve")
+                red[e] = v
+            comps.append(red)
+        out.append(comps)
+    return out
+
+
+def _reference_rref_add(rows, pivots, vec, p):
+    v = vec[:]
+    n = len(v)
+    for pc, r in zip(pivots, rows):
+        c = v[pc]
+        if c:
+            for j in range(pc, n):
+                v[j] = (v[j] - c * r[j]) % p
+    piv = next((j for j, c in enumerate(v) if c), None)
+    if piv is None:
+        return False
+    inv = pow(v[piv], p - 2, p)
+    v = [(c * inv) % p for c in v]
+    for r in rows:
+        c = r[piv]
+        if c:
+            for j in range(piv, n):
+                r[j] = (r[j] - c * v[j]) % p
+    k = next((idx for idx, q in enumerate(pivots) if q > piv), len(pivots))
+    rows.insert(k, v)
+    pivots.insert(k, piv)
+    return True
+
+
+def _reference_modp_basis(curve, p, N):
+    layout = JetLayout(N)
+    gens = _reference_gen_coeffs(curve, p, N)
+    offsets = layout.offsets
+
+    def mul_gen(row, g):
+        out = [0] * layout.ncols
+        for i in range(curve.r):
+            base = offsets[i]
+            comp = g[i]
+            for e, c in comp.items():
+                for k in range(N[i] - e):
+                    a = row[base + k]
+                    if a:
+                        out[base + e + k] = (out[base + e + k] + c * a) % p
+        return out
+
+    one = [0] * layout.ncols
+    for i in range(curve.r):
+        one[offsets[i]] = 1
+    rows = []
+    pivots = []
+    queue = []
+    if _reference_rref_add(rows, pivots, one, p):
+        queue.append(one)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = mul_gen(x, g)
+            if _reference_rref_add(rows, pivots, y, p):
+                queue.append(y)
+    return rows, layout
+
+
+def _basis_or_error(build, curve, p, N):
+    try:
+        return build(curve, p, N)
+    except BadReduction as exc:
+        return "BadReduction", str(exc)
+
+
+def test_modp_basis_matches_the_reference(curves):
+    inputs = dict(curves, triple=triple_point(), half=half_coefficient(),
+                  vanishing=vanishing_leading_coefficient())
+    rejected = set()
+    for name, curve in inputs.items():
+        for p in (2, 3, 5):
+            for level in range(1, 6):
+                N = (level + 1,) * curve.r
+                got = _basis_or_error(_modp_jet_basis, curve, p, N)
+                assert got == _basis_or_error(_reference_modp_basis, curve, p, N), (name, p, level)
+                if got[0] == "BadReduction":
+                    rejected.add((name, p))
+    # the triple point's slope 2 vanishes mod 2
+    assert rejected == {("half", 2), ("vanishing", 3), ("triple", 2)}
+
+
+coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_times_is_the_truncated_product(curves, data):
+    # the closure's product of a jet row with a generator, against the
+    # product of exact elements truncated afterwards; the corpus generators
+    # are monomials on each branch, so a random multiplier joins them
+    def element(r):
+        return tuple(BranchSeries(data.draw(st.dictionaries(st.integers(0, 11), coefficients,
+                                                            max_size=6)))
+                     for _ in range(r))
+
+    for name, curve in curves.items():
+        N = tuple(data.draw(st.lists(st.integers(1, 9), min_size=curve.r, max_size=curve.r)))
+        x = element(curve.r)
+        layout = JetLayout(N)
+        row = layout.element_row(x)
+        for m in curve.gens + (element(curve.r),):
+            gen = [list(s.coeffs.items()) for s in m]
+            want = layout.element_row(el_trunc(el_mul(x, m), N))
+            assert layout.times(row, gen) == want, (name, N, x, m)
 
 
 def test_reduction_rejects_branches_that_coincide_mod_p(tmp_path, capsys):

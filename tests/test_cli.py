@@ -1,13 +1,16 @@
 """Command-line entry points: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from singval import algebra
 from singval.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def corpus_file(name):
@@ -227,6 +230,32 @@ def test_count_enumerates_the_span_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert out.count("counted=") == 9
     assert len(builds) <= 2
+
+
+TRACED_COUNT = """
+import json
+import layers
+from singval import cli
+recorder = layers.Recorder()
+recorder.install()
+code = cli.main(["count", "corpus/node.json", "--q", "3", "--level", "3"])
+print(json.dumps({"code": code, "counts": recorder.finish()["counts"]}))
+"""
+
+
+def test_trace_harness_installs():
+    # perfbench/layers.py rebinds singval names from outside; a rename it
+    # does not know about breaks the trace.  A subprocess keeps the
+    # rebinding out of the other tests.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_COUNT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == EXIT_OK
+    counts = result["counts"]
+    assert counts.get("algebra.oracle.basis_builds", 0) >= 1
+    assert counts.get("algebra.jets.builds", 0) >= 1
 
 
 def curve_file(tmp_path, r, gens):

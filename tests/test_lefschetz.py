@@ -1,5 +1,6 @@
 """Unit and property tests for exact Z[L, 1/L] arithmetic."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from singval.lefschetz import (
     gc_add,
     gc_div_exact,
     gc_eval_rational,
-    gc_from_json,
     gc_int,
     gc_invert_L,
     gc_monomial,
@@ -132,24 +132,21 @@ def test_text_form():
 
 @given(classes)
 def test_json_round_trip(a):
-    data = gc_to_json(a)
-    assert data == sorted(data, key=lambda t: -t[0])
-    assert gc_from_json(data) == a
+    data = json.loads(json.dumps(gc_to_json(a)))
+    exps = [e for e, _ in data]
+    assert exps == sorted(exps, reverse=True) and len(set(exps)) == len(exps)
+    assert GrothendieckClass({e: int(c) for e, c in data}) == a
 
 
-def test_json_rejects_bad_shapes():
-    with pytest.raises(SingvalError):
-        gc_from_json({"1": "2"})
-    with pytest.raises(SingvalError):
-        gc_from_json([[0, "1"], [0, "2"]])
-    with pytest.raises(SingvalError):
-        gc_from_json([[0, "x"]])
-    assert gc_from_json([[3, "0"]]) == GC_ZERO
+def test_json_coefficients_are_strings():
+    assert gc_to_json(GC_ZERO) == []
+    a = GrothendieckClass({2: 3, -1: -1, 0: 7})
+    assert gc_to_json(a) == [[2, "3"], [0, "7"], [-1, "-1"]]
 
 
 def test_big_coefficients_survive_json():
     a = GrothendieckClass({0: 10**30})
-    assert gc_from_json(gc_to_json(a)) == a
+    assert json.loads(json.dumps(gc_to_json(a))) == [[0, str(10**30)]]
 
 
 def test_operator_sugar():
