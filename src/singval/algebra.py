@@ -174,14 +174,10 @@ class JetLayout:
         return sum(self.N)
 
     def element_row(self, z: Element, p: int = 0) -> list:
-        """The coefficients of z below N, reduced mod p when p is given; z
-        must be known that far."""
+        """The coefficients of z below N, reduced mod p when p is given."""
         row: list = []
         for i, x in enumerate(z):
             for e in range(self.N[i]):
-                if x.prec is not None and e >= x.prec:
-                    raise SingvalError(
-                        f"element only known to precision {x.prec} on branch {i}, need {self.N[i]}")
                 c = x.coeffs.get(e, _ZERO)
                 row.append(_reduce(c, p) if p else c)
         return row

@@ -30,7 +30,6 @@ from .algebra import (
     jet_rank_mod_q,
     lengths_report,
     max_ideal,
-    normalization_ideal,
     order_counts_mod_q,
     self_dual_direct,
     value_set,
@@ -175,11 +174,11 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     ci = _concrete(load_input(args.file))
     curve = ci.curve
     ring = ring_ideal(curve)
-    nm = normalization_ideal(curve)
     vm = value_set(ring, margin=args.margin)
-    delta = dim_quotient(nm, ring)
+    rep = lengths_report(ring)
+    delta = rep.outside  # the length of ring * normalization over the ring
     rho = dim_quotient(colon(ring, max_ideal(curve)), ring)
-    by_lengths = gorenstein_by_lengths(curve)
+    by_lengths = rep.doubled_equals_total
     by_symmetry = bool(vm.is_symmetric())
     members = vm.members_sorted()
     obj = {

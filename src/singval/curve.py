@@ -1,9 +1,7 @@
 """Branchwise power series, ring and ideal presentations for curve germs.
 
 The ambient object is a product of r formal power series lines over Q.
-A BranchSeries is one coordinate: exact rational coefficients plus an
-optional precision bound (coefficients of t^e are known only for e < prec;
-prec None means the series is known exactly and has finite support).
+A BranchSeries is one coordinate: a finite sum of exact rational terms.
 An element of the product is a plain tuple of r BranchSeries.
 
 CurvePresentation holds normalized algebra generators for the local ring;
@@ -14,60 +12,45 @@ monomial shift so that modules with poles still have a nonnegative model.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .errors import (
-    PrecisionExhausted,
-    SchemaError,
-    SingvalError,
-    ZeroDivisor,
-)
+from .errors import SchemaError, SingvalError, ZeroDivisor
 from .lattice import Vec, vec_add, vec_check
+
+_ZERO = Fraction(0)
 
 
 class BranchSeries:
-    """One branch coordinate: sum of c_e t^e with exact Fraction c_e.
+    """One branch coordinate: the finite sum of c_e t^e with exact nonzero
+    Fraction c_e, stored by exponent."""
 
-    Coefficients with e >= prec are unknown and never stored.  prec None
-    means exact: the stored support is the whole series.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "prec")
-
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = (), prec: int | None = None):
-        if prec is not None and (not isinstance(prec, int) or isinstance(prec, bool)):
-            raise TypeError("prec must be int or None")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: dict[int, Fraction | int] = {}):
         clean: dict[int, Fraction] = {}
-        for e, c in items:
+        for e, c in coeffs.items():
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"exponent must be int, got {e!r}")
             q = Fraction(c)
-            if q and (prec is None or e < prec):
-                clean[e] = clean.get(e, Fraction(0)) + q
-                if not clean[e]:
-                    del clean[e]
+            if q:
+                clean[e] = q
         self.coeffs = clean
-        self.prec = prec
 
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.prec is None
+        return not self.coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BranchSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.prec == other.prec
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.coeffs.items())), self.prec))
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if not self.coeffs:
-            body = "0"
-        else:
-            body = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
-        tail = "" if self.prec is None else f" + O(t^{self.prec})"
-        return f"<{body}{tail}>"
+            return "<0>"
+        return "<" + " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items())) + ">"
 
 
 BS_ZERO = BranchSeries()
@@ -78,78 +61,39 @@ def bs_monomial(e: int, c: Fraction | int = 1) -> BranchSeries:
     return BranchSeries({e: c})
 
 
-def _prec_min(p: int | None, q: int | None) -> int | None:
-    if p is None:
-        return q
-    if q is None:
-        return p
-    return min(p, q)
-
-
 def bs_add(a: BranchSeries, b: BranchSeries) -> BranchSeries:
-    prec = _prec_min(a.prec, b.prec)
     out = dict(a.coeffs)
     for e, c in b.coeffs.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return BranchSeries(out, prec)
+        out[e] = out.get(e, _ZERO) + c
+    return BranchSeries(out)
 
 
 def bs_scale(a: BranchSeries, q: Fraction | int) -> BranchSeries:
     q = Fraction(q)
-    if not q:
-        # scaling by 0 yields an exact zero regardless of missing tail
-        return BS_ZERO
-    return BranchSeries({e: c * q for e, c in a.coeffs.items()}, a.prec)
-
-
-def _ord_lower(a: BranchSeries) -> int:
-    """A certified lower bound for the order (exact when coeffs exist)."""
-    if a.coeffs:
-        return min(a.coeffs)
-    if a.prec is None:
-        raise ZeroDivisor("exact zero has no finite order")
-    return a.prec
+    return BranchSeries({e: c * q for e, c in a.coeffs.items()})
 
 
 def bs_mul(a: BranchSeries, b: BranchSeries) -> BranchSeries:
-    if a.is_exact_zero() or b.is_exact_zero():
-        return BS_ZERO
-    cands = []
-    if a.prec is not None:
-        cands.append(a.prec + _ord_lower(b))
-    if b.prec is not None:
-        cands.append(b.prec + _ord_lower(a))
-    prec = min(cands) if cands else None
     out: dict[int, Fraction] = {}
     for ea, ca in a.coeffs.items():
         for eb, cb in b.coeffs.items():
             e = ea + eb
-            if prec is None or e < prec:
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-    return BranchSeries(out, prec)
+            out[e] = out.get(e, _ZERO) + ca * cb
+    return BranchSeries(out)
 
 
 def bs_shift(a: BranchSeries, k: int) -> BranchSeries:
-    prec = None if a.prec is None else a.prec + k
-    return BranchSeries({e + k: c for e, c in a.coeffs.items()}, prec)
-
-
-def bs_trunc(a: BranchSeries, n: int) -> BranchSeries:
-    return BranchSeries(a.coeffs, _prec_min(a.prec, n))
+    return BranchSeries({e + k: c for e, c in a.coeffs.items()})
 
 
 def bs_order(a: BranchSeries) -> int:
-    if a.coeffs:
-        return min(a.coeffs)
-    if a.prec is None:
+    if not a.coeffs:
         raise ZeroDivisor("exact zero has no order")
-    raise PrecisionExhausted(f"series is 0 to precision {a.prec}; order undecidable")
+    return min(a.coeffs)
 
 
 def bs_coeff(a: BranchSeries, e: int) -> Fraction:
-    if a.prec is not None and e >= a.prec:
-        raise PrecisionExhausted(f"coefficient of t^{e} unknown at precision {a.prec}")
-    return a.coeffs.get(e, Fraction(0))
+    return a.coeffs.get(e, _ZERO)
 
 
 # -- elements of the product of branches -------------------------------------
@@ -187,7 +131,9 @@ def el_shift(a: Element, k: Vec) -> Element:
 
 
 def el_trunc(a: Element, n: Vec) -> Element:
-    return tuple(bs_trunc(x, ni) for x, ni in zip(a, n, strict=True))
+    """The terms of each branch i below n_i, as an exact element."""
+    return tuple(BranchSeries({e: c for e, c in x.coeffs.items() if e < ni})
+                 for x, ni in zip(a, n, strict=True))
 
 
 def el_is_exact_zero(a: Element) -> bool:
@@ -195,8 +141,7 @@ def el_is_exact_zero(a: Element) -> bool:
 
 
 def value_of(a: Element) -> Vec:
-    """The order vector.  Raises ZeroDivisor on an exactly zero component and
-    PrecisionExhausted when a component is zero only as far as it is known."""
+    """The order vector.  Raises ZeroDivisor on a zero component."""
     return tuple(bs_order(x) for x in a)
 
 
@@ -237,9 +182,6 @@ class CurvePresentation:
         for k, g in enumerate(raw_gens):
             if len(g) != r:
                 raise SchemaError(f"generator {k} has {len(g)} components, expected {r}")
-            for x in g:
-                if x.prec is not None:
-                    raise SchemaError(f"generator {k} is truncated; ring generators must be exact")
             consts = {bs_coeff(x, 0) for x in g}
             if len(consts) > 1:
                 raise SchemaError(
@@ -284,8 +226,6 @@ class FracIdeal:
             if el_is_exact_zero(g):
                 continue
             for i, x in enumerate(g):
-                if x.prec is not None:
-                    raise SchemaError(f"ideal generator {k} is truncated; generators must be exact")
                 if not x.is_exact_zero() and bs_order(x) < 0:
                     raise SingvalError(
                         f"ideal generator {k} has a pole on branch {i}; "

@@ -24,10 +24,6 @@ class EmptyResultWindow(SingvalError):
     """A window operation produced a box with some hi < lo; no point survives."""
 
 
-class PrecisionExhausted(SingvalError):
-    """A power series is zero to its known precision; its order is undecidable."""
-
-
 class ZeroDivisor(SingvalError):
     """An element has an identically zero branch component, so it has no
     finite order vector there."""

@@ -8,7 +8,7 @@ division raises NotDivisible instead of ever returning an approximation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .errors import NotDivisible, SingvalError
 
@@ -16,31 +16,22 @@ from .errors import NotDivisible, SingvalError
 MAX_EXPONENT = 10**6
 
 
-def _check_exponent(e: int) -> int:
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise TypeError(f"exponent must be int, got {type(e).__name__}")
-    if abs(e) > MAX_EXPONENT:
-        raise SingvalError(f"exponent {e} exceeds the safety cap {MAX_EXPONENT}")
-    return e
-
-
 class GrothendieckClass:
-    """An element of Z[L, 1/L] in canonical form (no zero coefficients)."""
+    """An element of Z[L, 1/L] in canonical form: nonzero int coefficients
+    by decreasing exponent.  The constructor is the one place that enforces
+    it, so the gc_* functions below hand it raw sums."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            _check_exponent(e)
+    def __init__(self, terms: dict[int, int] = {}):
+        for e, c in terms.items():
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"exponent must be int, got {type(e).__name__}")
+            if abs(e) > MAX_EXPONENT:
+                raise SingvalError(f"exponent {e} exceeds the safety cap {MAX_EXPONENT}")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficient must be int, got {type(c).__name__}")
-            if c:
-                acc[e] = acc.get(e, 0) + c
-                if not acc[e]:
-                    del acc[e]
-        self._terms = dict(sorted(acc.items(), reverse=True))
+        self._terms = dict(sorted(((e, c) for e, c in terms.items() if c), reverse=True))
 
     # -- basic queries ----------------------------------------------------
 
@@ -74,35 +65,12 @@ class GrothendieckClass:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GrothendieckClass):
-            return self._terms == other._terms
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self._terms == ({0: other} if other else {})
-        return NotImplemented
+        if not isinstance(other, GrothendieckClass):
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
-
-    # -- arithmetic (delegates to the functional API below) ----------------
-
-    def __add__(self, other: "GrothendieckClass | int") -> "GrothendieckClass":
-        return gc_add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GrothendieckClass":
-        return GrothendieckClass({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "GrothendieckClass | int") -> "GrothendieckClass":
-        return gc_add(self, -_coerce(other))
-
-    def __rsub__(self, other: int) -> "GrothendieckClass":
-        return gc_add(_coerce(other), -self)
-
-    def __mul__(self, other: "GrothendieckClass | int") -> "GrothendieckClass":
-        return gc_mul(self, _coerce(other))
-
-    __rmul__ = __mul__
 
     # -- text form ----------------------------------------------------------
 
@@ -111,14 +79,6 @@ class GrothendieckClass:
 
     def __str__(self) -> str:
         return gc_to_text(self)
-
-
-def _coerce(x: "GrothendieckClass | int") -> GrothendieckClass:
-    if isinstance(x, GrothendieckClass):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return GrothendieckClass({0: x})
-    raise TypeError(f"cannot treat {type(x).__name__} as a class in Z[L,1/L]")
 
 
 GC_ZERO = GrothendieckClass()
@@ -137,11 +97,7 @@ def gc_monomial(e: int, c: int = 1) -> GrothendieckClass:
 def gc_add(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
     out = dict(a._terms)
     for e, c in b._terms.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+        out[e] = out.get(e, 0) + c
     return GrothendieckClass(out)
 
 
@@ -150,22 +106,19 @@ def gc_mul(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
     for ea, ca in a._terms.items():
         for eb, cb in b._terms.items():
             e = ea + eb
-            _check_exponent(e)
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + ca * cb
     return GrothendieckClass(out)
 
 
 def gc_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
     """Exact quotient a / b in Z[L, 1/L].
 
-    Long division by descending exponent over Q; raises NotDivisible if a
-    remainder survives, any quotient coefficient is non-integral, or the
-    quotient would need exponents below min_exp(a) - min_exp(b) (i.e. the
-    division does not terminate inside Laurent polynomials).
+    Long division over Z by descending exponent: if a = q*b with q integral,
+    each step fixes one coefficient of q, which is then an integer.  Raises
+    NotDivisible as soon as a step leaves a remainder mod the leading
+    coefficient of b, or the quotient would need exponents below
+    min_exp(a) - min_exp(b) (the division does not terminate inside Laurent
+    polynomials).
     """
     if b.is_zero():
         raise NotDivisible("division by zero class")
@@ -174,29 +127,25 @@ def gc_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClas
     lead_e = b.max_exp()
     lead_c = b._terms[lead_e]
     floor_e = a.min_exp() - b.min_exp()
-    rem: dict[int, Fraction] = {e: Fraction(c) for e, c in a._terms.items()}
-    quo: dict[int, Fraction] = {}
+    rem = dict(a._terms)
+    quo: dict[int, int] = {}
     while rem:
         e = max(rem)
         qe = e - lead_e
         if qe < floor_e:
             raise NotDivisible(f"{a} is not divisible by {b}")
-        qc = rem[e] / lead_c
+        qc, left = divmod(rem[e], lead_c)
+        if left:
+            raise NotDivisible(f"{a} is not divisible by {b} over Z")
         quo[qe] = qc
         for be, bc in b._terms.items():
             k = qe + be
-            s = rem.get(k, Fraction(0)) - qc * bc
+            s = rem.get(k, 0) - qc * bc
             if s:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    out: dict[int, int] = {}
-    for e, c in quo.items():
-        if c.denominator != 1:
-            raise NotDivisible(f"{a} is not divisible by {b} over Z")
-        if c.numerator:
-            out[e] = c.numerator
-    return GrothendieckClass(out)
+    return GrothendieckClass(quo)
 
 
 def gc_invert_L(a: GrothendieckClass) -> GrothendieckClass:

@@ -117,14 +117,14 @@ def series_poincare(vm: ValueModule, w: Window) -> WindowSeries:
     return ws_build(w, coeff)
 
 
+def _proj_class(g: int) -> GrothendieckClass:
+    """(L^g - 1)/(L - 1), the class of a projective space of dimension g - 1."""
+    return gc_div_exact(gc_add(gc_monomial(g), gc_int(-1)), GC_L_MINUS_1)
+
+
 def series_proj_cells(vm: ValueModule, w: Window) -> WindowSeries:
     """Coefficient at v: (L^c(v) - 1)/(L - 1), the projectivized step class."""
-
-    def coeff(v: Vec) -> GrothendieckClass:
-        c = vm.c_total(v)
-        return gc_div_exact(gc_add(gc_monomial(c), gc_int(-1)), GC_L_MINUS_1)
-
-    return ws_build(w, coeff)
+    return ws_build(w, lambda v: _proj_class(vm.c_total(v)))
 
 
 def series_proj_poincare(vm: ValueModule, w: Window) -> WindowSeries:
@@ -135,9 +135,8 @@ def series_proj_poincare(vm: ValueModule, w: Window) -> WindowSeries:
         top = vm.ell(vec_add(v, one))
         acc = GC_ZERO
         for sign, ind in _subsets(vm.r):
-            gap = top - vm.ell(vec_add(v, ind))
-            piece = gc_div_exact(gc_add(gc_monomial(gap), gc_int(-1)), GC_L_MINUS_1)
-            acc = gc_add(acc, piece) if sign > 0 else gc_add(acc, gc_mul(gc_int(-1), piece))
+            piece = _proj_class(top - vm.ell(vec_add(v, ind)))
+            acc = gc_add(acc, piece if sign > 0 else gc_mul(gc_int(-1), piece))
         return acc
 
     return ws_build(w, coeff)
@@ -436,7 +435,7 @@ def verify_proj_functional_equation(
     verdict = _constant(w, residual, "cell residual constant and equal to (L^d - 1)/(L - 1)",
                         "cell residual is not constant at {v}")
     first = residual(w.lo)
-    if verdict and first != gc_div_exact(gc_add(gc_monomial(d), gc_int(-1)), GC_L_MINUS_1):
+    if verdict and first != _proj_class(d):
         return Verdict(
             False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
         )

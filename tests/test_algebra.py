@@ -52,8 +52,8 @@ from singval.errors import (
 from singval.lattice import vec_sub
 
 
-def series(*pairs, prec=None):
-    return BranchSeries(dict(pairs), prec=prec)
+def series(*pairs):
+    return BranchSeries(dict(pairs))
 
 
 # ---------------------------------------------------------------- conductors

@@ -17,12 +17,12 @@ from singval.curve import (
     bs_mul,
     bs_order,
     bs_shift,
-    bs_trunc,
     el_add,
     el_is_exact_zero,
     el_mul,
     el_scale,
     el_shift,
+    el_trunc,
     el_unit_monomial,
     el_zero,
     ideal_product,
@@ -31,63 +31,39 @@ from singval.curve import (
     ring_ideal,
     value_of,
 )
-from singval.errors import PrecisionExhausted, SchemaError, SingvalError, ZeroDivisor
+from singval.errors import SchemaError, SingvalError, ZeroDivisor
 
 
-def series(*pairs, prec=None):
-    return BranchSeries(dict(pairs), prec=prec)
+def series(*pairs):
+    return BranchSeries(dict(pairs))
 
 
 # -- branch series ---------------------------------------------------------------
 
 
 def test_series_drops_zero_and_truncated_coefficients():
-    a = series((0, 1), (3, 0), (5, 2), prec=4)
-    assert a.coeffs == {0: Fraction(1)}
-    assert a.prec == 4
+    a = series((0, 1), (3, 0), (5, 2))
+    assert a.coeffs == {0: Fraction(1), 5: Fraction(2)}
+    assert el_trunc((a,), (4,))[0].coeffs == {0: Fraction(1)}
     assert not a.is_exact_zero()
     assert BranchSeries().is_exact_zero()
-    assert not BranchSeries(prec=3).is_exact_zero()
-
-
-def test_series_merges_duplicate_exponents():
-    a = BranchSeries([(2, 1), (2, -1), (1, 3)])
-    assert a.coeffs == {1: Fraction(3)}
-
-
-def test_add_keeps_the_weaker_precision():
-    a = series((0, 1), prec=5)
-    b = series((1, 1), (7, 1))
-    c = bs_add(a, b)
-    assert c.prec == 5
-    assert c.coeffs == {0: Fraction(1), 1: Fraction(1)}
-
-
-def test_mul_precision_shifts_by_the_other_factors_order():
-    a = series((2, 1), prec=5)        # t^2 + O(t^5)
-    b = series((3, 1))                # t^3 exactly
-    c = bs_mul(a, b)
-    assert c.coeffs == {5: Fraction(1)}
-    assert c.prec == 8
-    # multiplying by an exact zero is exactly zero, whatever the precision
-    assert bs_mul(a, BS_ZERO).is_exact_zero()
+    assert BranchSeries({4: 0}).is_exact_zero()
+    # terms that cancel leave no zero behind
+    assert bs_add(series((1, 3), (2, 1)), series((2, -1))).coeffs == {1: Fraction(3)}
+    assert bs_mul(series((2, 1)), BS_ZERO).is_exact_zero()
 
 
 def test_shift_allows_negative_exponents():
-    a = bs_shift(series((2, 1), prec=4), -3)
+    a = bs_shift(series((2, 1)), -3)
     assert a.coeffs == {-1: Fraction(1)}
-    assert a.prec == 1
 
 
 def test_order_and_coeff_report_unknowns():
     assert bs_order(series((4, 5))) == 4
     with pytest.raises(ZeroDivisor):
         bs_order(BS_ZERO)
-    with pytest.raises(PrecisionExhausted):
-        bs_order(BranchSeries(prec=6))
-    assert bs_coeff(series((1, 2), prec=4), 3) == 0
-    with pytest.raises(PrecisionExhausted):
-        bs_coeff(series((1, 2), prec=4), 4)
+    assert bs_coeff(series((1, 2)), 3) == 0
+    assert bs_coeff(series((1, 2)), 1) == 2
 
 
 small_series = st.builds(
@@ -103,10 +79,12 @@ def test_mul_distributes_over_add(a, b, c):
     assert lhs.coeffs == rhs.coeffs
 
 
-@given(small_series, st.integers(0, 8))
-def test_trunc_then_trunc_is_idempotent(a, n):
-    once = bs_trunc(a, n)
-    assert bs_trunc(once, n) == once
+@given(small_series, small_series, st.integers(0, 8), st.integers(0, 8))
+def test_trunc_then_trunc_is_idempotent(a, b, m, n):
+    once = el_trunc((a, b), (m, n))
+    assert el_trunc(once, (m, n)) == once
+    for x, y, k in zip(once, (a, b), (m, n)):
+        assert x.coeffs == {e: c for e, c in y.coeffs.items() if e < k}
 
 
 # -- elements ---------------------------------------------------------------------
@@ -162,11 +140,6 @@ def test_presentation_strips_constants_and_finds_a_nonzerodivisor():
 def test_presentation_rejects_mismatched_constants():
     with pytest.raises(SchemaError):
         CurvePresentation(2, [(series((0, 1)), series((0, 2)))])
-
-
-def test_presentation_rejects_truncated_generators():
-    with pytest.raises(SchemaError):
-        CurvePresentation(1, [(series((2, 1), prec=9),)])
 
 
 def test_presentation_rejects_untouched_branches():
