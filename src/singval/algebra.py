@@ -15,10 +15,11 @@ for the counting oracle, the prime fields.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .curve import (
     CurvePresentation,
@@ -125,13 +126,6 @@ class RowSpaceQ:
         return True
 
 
-def _rank_of(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    sp = RowSpaceQ(ncols)
-    for row in rows:
-        sp.add(row)
-    return sp.rank
-
-
 # -- jets ---------------------------------------------------------------------
 
 
@@ -215,7 +209,7 @@ class JetSpace:
     or BadReduction is raised.
     """
 
-    __slots__ = ("layout", "space")
+    __slots__ = ("layout", "space", "cuts")
 
     def __init__(self, curve: CurvePresentation, gens: Sequence[Element], N: Vec, p: int = 0):
         N = vec_check(N, curve.r)
@@ -237,6 +231,7 @@ class JetSpace:
                     queue.append(y)
         self.layout = layout
         self.space = space
+        self.cuts: dict[Vec, int] | None = None  # filled by dim_at_least
 
     @property
     def rank(self) -> int:
@@ -246,18 +241,46 @@ class JetSpace:
         return self.space.contains(self.layout.element_row(z))
 
     def dim_at_least(self, w: Vec) -> int:
-        """Dimension of the subspace of rows supported on columns (i, e) with
-        e >= w_i: rank minus the rank of the projection onto the rest."""
+        """Dimension of the subspace of the span supported on columns (i, e)
+        with e >= w_i, read from the cut table; negative w_i cut nothing."""
         w = vec_check(w, self.layout.r)
         if any(x > n for x, n in zip(w, self.layout.N)):
             raise SingvalError(f"support cut {w} exceeds the jet precision {self.layout.N}")
-        low_cols = [
-            self.layout.offsets[i] + e
-            for i in range(self.layout.r)
-            for e in range(max(0, min(w[i], self.layout.N[i])))
-        ]
-        proj = [[row[j] for j in low_cols] for row in self.space.rows]
-        return self.space.rank - _rank_of(proj, len(low_cols))
+        if self.cuts is None:
+            self.cuts = _cut_dims(self.space, self.layout)
+        return self.cuts[tuple(max(0, x) for x in w)]
+
+
+def _cut_dims(space: RowSpaceQ, layout: JetLayout) -> dict[Vec, int]:
+    """dim_at_least for every w in [0, N], from one walk over the echelon form.
+
+    In a reduced echelon form whose columns start with branch k, the rows
+    pivoting at (k, e >= w_k) or later span exactly the vectors that vanish
+    on branch k below w_k.  So walk w_k down from N_k, feeding each row that
+    enters into a second echelon space with the columns rotated to put
+    branch k + 1 first, and recurse there; at the last branch the dimension
+    is the number of pivots at or after (r - 1, w_{r-1}).
+    """
+    N, r = layout.N, layout.r
+    out: dict[Vec, int] = {}
+
+    def walk(sp: RowSpaceQ, k: int, prefix: Vec) -> None:
+        n = N[k]
+        if k == r - 1:
+            for w in range(n + 1):
+                out[prefix + (w,)] = sp.rank - bisect_left(sp.pivots, w)
+            return
+        nxt = RowSpaceQ(sp.ncols, sp.p)
+        j = sp.rank
+        for w in range(n, -1, -1):
+            while j and sp.pivots[j - 1] >= w:
+                j -= 1
+                row = sp.rows[j]
+                nxt.add(row[n:] + row[:n])
+            walk(nxt, k + 1, prefix + (w,))
+
+    walk(space, 0, ())
+    return out
 
 
 def jet_span(a: FracIdeal, N: Vec) -> JetSpace:

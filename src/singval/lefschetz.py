@@ -8,7 +8,6 @@ division raises NotDivisible instead of ever returning an approximation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import NotDivisible, SingvalError
 
@@ -35,10 +34,6 @@ class GrothendieckClass:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -54,12 +49,6 @@ class GrothendieckClass:
         if not self._terms:
             raise SingvalError("zero class has no maximal exponent")
         return max(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -2,6 +2,7 @@
 value tables and finite-field point counts, all against frozen corpus facts."""
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from singval.algebra import (
     JetLayout,
+    JetSpace,
     LengthsReport,
+    RowSpaceQ,
     _gen_conductor,
     _modp_jet_basis,
     colon,
@@ -49,7 +52,7 @@ from singval.errors import (
     NotContained,
     SingvalError,
 )
-from singval.lattice import vec_sub
+from singval.lattice import vec_check, vec_sub
 
 
 def series(*pairs):
@@ -667,3 +670,46 @@ def test_single_branch_gap_count_matches_quotient(corpus, ideal_vms):
         b = ring_ideal(ci.curve) if iname == "ring" else ci.ideals[iname]
         rep = lengths_report(b, None)
         assert rep.outside == vm.gamma[0] - vm.ell(vm.gamma), (name, iname)
+
+
+# ---------------------------------------------------------------- cut table
+
+def _reference_dim_at_least(space, w):
+    """The projection-rank dim_at_least the cut table replaced: the rank of
+    the span minus the rank of its projection onto the columns below w,
+    ranked afresh in the span's own field."""
+    w = vec_check(w, space.layout.r)
+    if any(x > n for x, n in zip(w, space.layout.N)):
+        raise SingvalError(f"support cut {w} exceeds the jet precision {space.layout.N}")
+    low_cols = [
+        space.layout.offsets[i] + e
+        for i in range(space.layout.r)
+        for e in range(max(0, min(w[i], space.layout.N[i])))
+    ]
+    proj = [[row[j] for j in low_cols] for row in space.space.rows]
+    sp = RowSpaceQ(len(low_cols), space.space.p)
+    for row in proj:
+        sp.add(row)
+    return space.space.rank - sp.rank
+
+
+def test_cut_table_matches_the_projection_rank(corpus):
+    rng = random.Random(20261018)
+    spans = [(name, iname, b.curve, b.gens) for name, iname, b in corpus_ideals(corpus)]
+    triple = triple_point()
+    spans.append(("triple", "ring", triple, ring_ideal(triple).gens))
+    checked = 0
+    for name, iname, curve, gens in spans:
+        ragged = tuple(rng.randint(1, 6) for _ in range(curve.r))
+        for p in (0, 2, 3, 5):
+            if (name, p) == ("triple", 2):
+                continue  # the slope 2 vanishes mod 2
+            for N in ((1,) * curve.r, (3,) * curve.r, ragged):
+                space = JetSpace(curve, gens, N, p)
+                for w in product(*[range(-1, n + 1) for n in N]):
+                    want = _reference_dim_at_least(space, w)
+                    assert space.dim_at_least(w) == want, (name, iname, p, N, w)
+                    checked += 1
+                with pytest.raises(SingvalError, match="exceeds the jet precision"):
+                    space.dim_at_least(tuple(n + (i == 0) for i, n in enumerate(N)))
+    assert checked > 4000

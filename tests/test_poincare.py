@@ -1,10 +1,12 @@
 """Windowed series builders and the duality/functional-equation verifiers."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from singval.algebra import dual, ring_ideal, value_set
+from singval.curve import BranchSeries, CurvePresentation
 from singval.errors import SingvalError, WindowNotCovered
 from singval.lattice import Window, ws_build, ws_eq_on, ws_mul_poly, ws_scale_class
 from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial
@@ -293,3 +295,51 @@ def test_single_coefficient_corruption_is_detected(ring_vms):
     bad = ws_eq_on(lhs, rhs, w)
     assert bad is not None
     assert bad <= target
+
+
+# ------------------------------------------------- closed forms at L = 1
+#
+# At L = 1 the Poincare series of a plane curve with r >= 2 branches is its
+# Alexander polynomial, and for one branch it is the Alexander polynomial
+# over 1 - t, the generating function of the value semigroup
+# (Campillo-Delgado-Gusein-Zade).  The expected polynomials below come from
+# those closed forms alone.
+
+def _series(*pairs):
+    return BranchSeries(dict(pairs))
+
+
+def _poincare_at_one(curve):
+    """Nonzero coefficients of the ring's Poincare series at L = 1, on a
+    window reaching gamma + 3."""
+    vm = value_set(ring_ideal(curve))
+    w = Window((0,) * vm.r, tuple(g + 3 for g in vm.gamma))
+    at_one = {
+        v: sum(c.coeff(e) for e in range(c.min_exp(), c.max_exp() + 1))
+        for v, c in series_poincare(vm, w).coeffs.items()
+    }
+    return {v: x for v, x in at_one.items() if x}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_ordinary_point_gives_the_alexander_polynomial(r):
+    # r lines y = s x with slopes 0, 1, ..., r - 1: (1 - t_1...t_r)^(r - 2)
+    curve = CurvePresentation(r, [tuple(_series((1, 1)) for _ in range(r)),
+                                  tuple(_series((1, s)) for s in range(r))])
+    want = {(k,) * r: (-1) ** k * comb(r - 2, k) for k in range(r - 1)}
+    assert _poincare_at_one(curve) == want
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_type_gives_a_geometric_sum(k):
+    # A_{2k-1}: y = x^k and y = -x^k, sum of (t_1 t_2)^i over i < k
+    curve = CurvePresentation(2, [(_series((1, 1)), _series((1, 1))),
+                                  (_series((k, 1)), _series((k, -1)))])
+    assert _poincare_at_one(curve) == {(i, i): 1 for i in range(k)}
+
+
+def test_one_branch_gives_the_semigroup_generating_function():
+    # t^3, t^5: the semigroup <3, 5> up to gamma + 3 = 11
+    curve = CurvePresentation(1, [(_series((3, 1)),), (_series((5, 1)),)])
+    want = {(3 * a + 5 * b,): 1 for a in range(4) for b in range(3) if 3 * a + 5 * b <= 11}
+    assert _poincare_at_one(curve) == want
