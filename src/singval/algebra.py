@@ -292,8 +292,9 @@ def jet_span(a: FracIdeal, N: Vec) -> JetSpace:
 # -- certified conductors -----------------------------------------------------
 
 
-def _band_contained(a: FracIdeal, m: Vec) -> bool:
-    """Does the generator module contain every element of order >= m?
+def _band_contained(a: FracIdeal, m: Vec) -> JetSpace | None:
+    """The span certifying that the generator module contains every element
+    of order >= m, or None when it does not.
 
     Checked at jets of precision m + p, where p is the order vector of the
     curve's distinguished nonzerodivisor: if the one band of monomials
@@ -302,56 +303,50 @@ def _band_contained(a: FracIdeal, m: Vec) -> bool:
     """
     m = vec_check(m, a.r)
     if any(x < 0 for x in m):
-        return False
-    N = vec_add(m, a.curve.z0_order)
-    space = jet_span(a, N)
-    for i in range(a.r):
-        for e in range(m[i], N[i]):
+        return None
+    space = jet_span(a, vec_add(m, a.curve.z0_order))
+    for i, n in enumerate(space.layout.N):
+        for e in range(m[i], n):
             if not space.space.contains(space.layout.unit_row(i, e)):
-                return False
-    return True
+                return None
+    return space
 
 
 def _gen_conductor(a: FracIdeal) -> Vec:
     """Minimal m with t^m * (full product ring) inside the generator module.
 
-    The set of working bounds is closed upward and under componentwise min,
-    so it has a unique minimum: climb the diagonal by doubling steps until
-    containment holds, then shrink each coordinate independently by binary
-    search.
+    Climb the diagonal by doubling steps until a band hi is certified, then
+    read the minimum off the certifying span at N = hi + p.  For m <= hi,
+    t^m * full lies in the module exactly when every unit (i, e) with
+    m_i <= e < N_i lies in that span: a jet matching t_i^e below N differs
+    from it by an element of order >= N >= hi, which the module holds.  The
+    condition splits by axis, so each coordinate is the foot of its run of
+    units below hi_i.
     """
     if a._cond is not None:
         return a._cond
     if a.gens in a.curve.conductors:  # found for another ideal object
         a._cond = a.curve.conductors[a.gens]
         return a._cond
-    base = a.vmin
-    hi = None
     k = 0
     while k <= CONDUCTOR_CLIMB:
-        cand = tuple(x + k for x in base)
-        if _band_contained(a, cand):
-            hi = list(cand)
+        hi = tuple(x + k for x in a.vmin)
+        space = _band_contained(a, hi)
+        if space is not None:
             break
         k = 2 * k if k else 1
-    if hi is None:
+    else:
         raise BoundSearchExceeded(
-            f"no full monomial band found up to {tuple(x + CONDUCTOR_CLIMB for x in base)}, "
+            f"no full monomial band found up to {tuple(x + CONDUCTOR_CLIMB for x in a.vmin)}, "
             f"the climb ceiling of {CONDUCTOR_CLIMB} above the minimal orders: either the "
             "conductor lies higher, or two branches coincide and the curve is not reduced")
-    for i in range(a.r):
-        lo, up = base[i], hi[i]
-        while lo < up:
-            mid = (lo + up) // 2
-            probe = tuple(mid if j == i else hi[j] for j in range(a.r))
-            if _band_contained(a, probe):
-                up = mid
-            else:
-                lo = mid + 1
-        hi[i] = lo
-    out = tuple(hi)
-    a._cond = a.curve.conductors[a.gens] = out
-    return out
+    out = []
+    for i, e in enumerate(hi):
+        while e and space.space.contains(space.layout.unit_row(i, e - 1)):
+            e -= 1
+        out.append(e)
+    a._cond = a.curve.conductors[a.gens] = tuple(out)
+    return a._cond
 
 
 # -- membership, containment, dimensions --------------------------------------
@@ -602,7 +597,7 @@ def verify_canonical(c: FracIdeal, family: Sequence[FracIdeal] | None = None) ->
 # -- value sets -----------------------------------------------------------------
 
 
-def value_set(b: FracIdeal, margin: int = 2, ambient: ValueModule | None = None) -> ValueModule:
+def value_set(b: FracIdeal, margin: int = 2) -> ValueModule:
     """Extract the normalized value set of b as a ValueModule.
 
     Normalizes by the minimal order vector, certifies the conductor, fills
@@ -612,7 +607,7 @@ def value_set(b: FracIdeal, margin: int = 2, ambient: ValueModule | None = None)
     """
     if margin < 1:
         raise SingvalError("margin must be at least 1")
-    bn = monomial_scale(b, vec_neg(b.values_offset()))
+    bn = normalize_ideal(b)
     r = bn.r
     svec = bn.vmin  # equals bn.shift componentwise after normalization
     gamma = vec_sub(_gen_conductor(bn), svec)
@@ -647,7 +642,7 @@ def value_set(b: FracIdeal, margin: int = 2, ambient: ValueModule | None = None)
                 f"extracted membership at {v} is {got} but the box value at {clipped} "
                 f"is {table[clipped]}")
     offset = degree(bn)
-    return ValueModule(r, gamma, members, deg_offset=offset, ambient=ambient)
+    return ValueModule(r, gamma, members, deg_offset=offset)
 
 
 # -- length bookkeeping -----------------------------------------------------------
@@ -663,23 +658,26 @@ class LengthsReport:
     dual_match: bool | None  # length of (dual*full)/dual == inside, when canonical given
 
 
+def _trace_lengths(b: FracIdeal) -> tuple[int, int]:
+    """(inside, total) for b, read in its generator frame, where
+    b : full = t^cond * full and b * full = t^vmin * full are monomial."""
+    cond = _gen_conductor(b)
+    N = vec_max(cond, (1,) * b.r)
+    inside = jet_span(b, N).rank - sum(n - c for n, c in zip(N, cond))
+    return inside, sum(c - v for c, v in zip(cond, b.vmin))
+
+
 def lengths_report(b: FracIdeal, canonical: FracIdeal | None = None) -> LengthsReport:
     """The three lengths tying b to its trace inside the full module."""
-    nm = normalization_ideal(b.curve)
-    btrace = colon(b, nm)
-    bfull = ideal_product(b, nm)
-    inside = dim_quotient(b, btrace)
-    outside = dim_quotient(bfull, b)
-    total = inside + outside  # lengths add along b : full <= b <= b*full
+    inside, total = _trace_lengths(b)
     dual_match = None
     if canonical is not None:
-        d = dual(b, canonical)
-        dfull = ideal_product(d, nm)
-        dual_match = dim_quotient(dfull, d) == inside
+        d_inside, d_total = _trace_lengths(dual(b, canonical))
+        dual_match = d_total - d_inside == inside
     return LengthsReport(
         inside=inside,
         total=total,
-        outside=outside,
+        outside=total - inside,
         doubled_equals_total=2 * inside == total,
         doubled_leq_total=2 * inside <= total,
         dual_match=dual_match,

@@ -610,6 +610,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise SchemaError(f"level must be at least 1, got {args.level}")
             if args.ceiling < 1:
                 raise SchemaError(f"enumeration ceiling must be at least 1, got {args.ceiling}")
+            if args.q > args.ceiling:
+                # the ring's jets hold 1, so the span has at least q elements
+                raise EnumerationTooLarge(
+                    f"q = {args.q} exceeds the enumeration ceiling {args.ceiling}")
         return args.func(args, sys.stdout)
     except (EnumerationTooLarge, BoundSearchExceeded) as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)

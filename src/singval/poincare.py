@@ -31,10 +31,10 @@ from .lattice import (
     vec_add,
     vec_sub,
     ws_build,
+    ws_eq_on,
     ws_invert_vars,
     ws_mul_monomial,
     ws_mul_poly,
-    ws_require_cover,
     ws_scale_class,
     ws_scale_vars,
 )
@@ -198,9 +198,12 @@ def _agree(w: Window, lhs: Callable[[Vec], object], rhs: Callable[[Vec], object]
 
 def _series_agree(w: Window, lhs: WindowSeries, rhs: WindowSeries,
                   holds: str, fails: str) -> Verdict:
-    """_agree on two series' coefficients; both must determine all of w."""
-    ws_require_cover(lhs, rhs, w)
-    return _agree(w, lhs.coeff, rhs.coeff, holds, fails)
+    """_agree's verdict on two series' coefficients, compared by ws_eq_on;
+    both must determine all of w."""
+    v = ws_eq_on(lhs, rhs, w)
+    if v is None:
+        return Verdict(True, holds)
+    return Verdict(False, fails.format(v=v), witness=(v, lhs.coeff(v), rhs.coeff(v)))
 
 
 def _constant(w: Window, residual: Callable[[Vec], GrothendieckClass],

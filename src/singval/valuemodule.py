@@ -198,26 +198,13 @@ class ValueModule:
         n = vec_check(n, self.r)
         return any(self.delta_nonempty(n, i) for i in range(self.r))
 
-    def is_symmetric(self, tau: Iterable[int] | None = None, search: bool = False) -> Verdict:
-        """Does membership mirror gap-set emptiness around some center?
+    def is_symmetric(self) -> Verdict:
+        """Does membership mirror gap-set emptiness around gamma - 1?
 
         Checks member(v) <=> no member sits strictly above tau - v off one
-        matching coordinate, for all v in [-2, gamma + 2].  Default center is
-        gamma - 1; with search=True all centers in [-1, gamma + 1] are tried
-        and the verdict names the first that works.
+        matching coordinate, for all v in [-2, gamma + 2], with tau = gamma - 1.
         """
-        if search:
-            lo = (-1,) * self.r
-            hi = tuple(g + 1 for g in self.gamma)
-            for t in iter_box(lo, hi):
-                v = self.is_symmetric(tau=t)
-                if v.ok:
-                    return Verdict(True, f"symmetric with center {t}", t)
-            return Verdict(False, "no center works in [-1, gamma + 1]")
-        if tau is None:
-            tau = tuple(g - 1 for g in self.gamma)
-        else:
-            tau = vec_check(tau, self.r)
+        tau = tuple(g - 1 for g in self.gamma)
         lo = (-2,) * self.r
         hi = tuple(g + 2 for g in self.gamma)
         for v in iter_box(lo, hi):

@@ -10,11 +10,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singval import algebra
 from singval.algebra import (
+    CONDUCTOR_CLIMB,
     JetLayout,
     JetSpace,
     LengthsReport,
     RowSpaceQ,
+    _band_contained,
     _gen_conductor,
     _modp_jet_basis,
     colon,
@@ -83,6 +86,65 @@ def test_ring_conductors(curves):
 def test_ideal_conductor(corpus):
     b = corpus["e8"].curve_input.ideals["nonprincipal"]
     assert conductor(b) == (6,)
+
+
+def _reference_conductor(a):
+    """The bisection the one-span scan replaced: climb the diagonal by
+    doubling steps, then shrink each coordinate by binary search, with a
+    fresh band check (and jet span) per probe."""
+    base = a.vmin
+    k = 0
+    while _band_contained(a, tuple(x + k for x in base)) is None:
+        k = 2 * k if k else 1
+        assert k <= CONDUCTOR_CLIMB
+    hi = [x + k for x in base]
+    for i in range(a.r):
+        lo, up = base[i], hi[i]
+        while lo < up:
+            mid = (lo + up) // 2
+            probe = tuple(mid if j == i else hi[j] for j in range(a.r))
+            if _band_contained(a, probe) is not None:
+                up = mid
+            else:
+                lo = mid + 1
+        hi[i] = lo
+    return tuple(hi)
+
+
+def family_curves():
+    """One member of each concrete benchmark family, higher terms included:
+    t^p, t^q branches (t^9, t^11 has conductor 80), A_{2k-1}, the ordinary
+    triple point and two glued cusps."""
+    out = {}
+    for p, q in [(2, 3), (3, 4), (2, 5), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6), (5, 7),
+                 (9, 11)]:
+        out[f"t{p}_t{q}"] = CurvePresentation(1, [
+            (series((p, 1), (p + 1, 2)),), (series((q, 1), (q + 1, -3), (q + 2, 5)),)])
+    for k in (2, 4, 6, 8):
+        out[f"A{2 * k - 1}"] = CurvePresentation(2, [
+            (series((1, 1)), series((1, 1))),
+            (series((k, 1), (k + 1, 3)), series((k, -1), (k + 1, -2)))])
+    out["ordinary3"] = triple_point()
+    out["glued_cusps"] = CurvePresentation(2, [
+        (series((2, 1)), series((3, 1), (4, 5))), (series((3, 1), (4, -4)), series((2, 1)))])
+    return out
+
+
+def test_conductor_scan_matches_the_bisection(corpus):
+    cases = list(corpus_ideals(corpus)) + list(corpus_duals(corpus))
+    cases += [(name, "ring", ring_ideal(curve)) for name, curve in family_curves().items()]
+    for name, iname, b in cases:
+        assert _gen_conductor(b) == _reference_conductor(b), (name, iname)
+
+
+def test_conductor_builds_one_span_per_climb_step(monkeypatch):
+    built, checked = [], []
+    span, band = algebra.jet_span, algebra._band_contained
+    monkeypatch.setattr(algebra, "jet_span", lambda a, N: built.append(N) or span(a, N))
+    monkeypatch.setattr(algebra, "_band_contained", lambda a, m: checked.append(m) or band(a, m))
+    assert conductor(ring_ideal(family_curves()["t9_t11"])) == (80,)
+    # the climb 9, 10, 11, 13, ..., 137 certifies at its ninth step
+    assert len(checked) == len(built) == 9
 
 
 # ---------------------------------------------------------------- membership
@@ -619,8 +681,9 @@ def test_reduction_rejects_branches_that_coincide_mod_p(tmp_path, capsys):
 
 # --------------------------------------------------------------- consistency
 
-def test_length_report_is_additive(corpus):
-    # b : Obar sits inside b sits inside bObar, so the lengths must add up
+def test_length_report_is_additive(corpus, ideal_vms):
+    # b : Obar sits inside b sits inside bObar, so the lengths must add up;
+    # the value module reads the inside as l(gamma) and the total as |gamma|
     for name, inp in corpus.items():
         if inp.mode != "concrete":
             continue
@@ -628,6 +691,8 @@ def test_length_report_is_additive(corpus):
         for iname, b in list(ci.ideals.items()) + [("ring", ring_ideal(ci.curve))]:
             rep = lengths_report(b, None)
             assert rep.total == rep.inside + rep.outside, (name, iname)
+            vm = ideal_vms[(name, iname)]
+            assert (rep.inside, rep.total) == (vm.ell(vm.gamma), sum(vm.gamma)), (name, iname)
 
 
 def corpus_ideals(corpus):
@@ -645,6 +710,20 @@ def corpus_ideals(corpus):
             yield name, iname, b
 
 
+def corpus_duals(corpus):
+    """(curve name, "dual of " ideal name, dual) against the file's canonical
+    ideal, for every ideal corpus_ideals yields on a curve that names one."""
+    canonicals = {}
+    for name, iname, b in corpus_ideals(corpus):
+        ci = corpus[name].curve_input
+        if ci.canonical is None:
+            continue
+        if name not in canonicals:
+            canonicals[name] = (ring_ideal(ci.curve) if ci.canonical == "ring"
+                                else ci.ideals[ci.canonical])
+        yield name, f"dual of {iname}", dual(b, canonicals[name])
+
+
 def test_degree_is_the_index_against_the_ring(corpus):
     # deg b = l((b + O)/O) - l((b + O)/b), computed through the sum ideal
     for name, iname, b in corpus_ideals(corpus):
@@ -654,11 +733,14 @@ def test_degree_is_the_index_against_the_ring(corpus):
 
 
 def test_length_report_total_is_the_full_quotient(corpus):
-    # the total length is l(b*Obar / (b : Obar)), asked for directly
-    for name, iname, b in corpus_ideals(corpus):
+    # each length asked for directly along b : Obar <= b <= b*Obar
+    for name, iname, b in list(corpus_ideals(corpus)) + list(corpus_duals(corpus)):
         nm = normalization_ideal(b.curve)
-        want = dim_quotient(ideal_product(b, nm), colon(b, nm))
-        assert lengths_report(b).total == want, (name, iname)
+        trace, full = colon(b, nm), ideal_product(b, nm)
+        rep = lengths_report(b)
+        assert rep.total == dim_quotient(full, trace), (name, iname)
+        assert rep.inside == dim_quotient(b, trace), (name, iname)
+        assert rep.outside == dim_quotient(full, b), (name, iname)
 
 
 def test_single_branch_gap_count_matches_quotient(corpus, ideal_vms):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,22 @@ def test_enumeration_ceiling_is_resource_error(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "ceiling" in err or "enumerat" in err.lower()
+
+
+def test_field_above_the_ceiling_is_refused_before_the_prime_check(capsys):
+    # 10^18 + 3 is prime, so trial division would run to 10^9; the span
+    # holds the constants, so it has at least q elements anyway
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "count", corpus_file("cusp"), "--q", "1000000000000000003", "--level", "2",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_RESOURCE
+    assert "q = 1000000000000000003 exceeds the enumeration ceiling 16777216" in err
+    # a composite q above the ceiling is a spent resource too
+    code, _, _ = run(capsys, "count", corpus_file("cusp"), "--q", "12", "--level", "2",
+                     "--ceiling", "11")
+    assert code == EXIT_RESOURCE
 
 
 def test_ceiling_or_level_below_one_is_input_error(capsys):
