@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .curve import (
     CurvePresentation,
@@ -55,6 +55,8 @@ _ZERO = Fraction(0)
 CONDUCTOR_CLIMB = 128
 # pseudo-random transporter combinations tried by self_dual_direct
 DIRECT_PROBE_COMBOS = 8
+
+T = TypeVar("T")
 
 
 # -- exact row reduction ------------------------------------------------------
@@ -98,6 +100,12 @@ class RowSpaceQ:
 
     def contains(self, row: Sequence) -> bool:
         return not any(self.residual(row))
+
+    def copy(self) -> RowSpaceQ:
+        out = RowSpaceQ(self.ncols, self.p)
+        out.rows = [list(r) for r in self.rows]
+        out.pivots = list(self.pivots)
+        return out
 
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True when the rank grew."""
@@ -209,29 +217,44 @@ class JetSpace:
     or BadReduction is raised.
     """
 
-    __slots__ = ("layout", "space", "cuts")
+    __slots__ = ("layout", "space", "mults", "cuts")
 
     def __init__(self, curve: CurvePresentation, gens: Sequence[Element], N: Vec, p: int = 0):
         N = vec_check(N, curve.r)
         if any(n < 1 for n in N):
             raise SingvalError(f"jet precision must be positive on every branch, got {N}")
-        layout = JetLayout(N)
-        space = RowSpaceQ(layout.ncols, p)
-        mults = [
+        self.layout = JetLayout(N)
+        self.space = RowSpaceQ(self.layout.ncols, p)
+        self.mults = [
             [[(e, _reduce(c, p, nonzero=True) if p else c) for e, c in x.coeffs.items() if e < n]
              for x, n in zip(m, N)]
             for m in curve.gens
         ]
+        self.cuts: dict[Vec, int] | None = None  # filled by dim_at_least
+        self.extend(gens)
+
+    def extend(self, gens: Sequence[Element]) -> bool:
+        """Add the jets of gens and close the span again under the curve's
+        algebra generators; True when the rank grew."""
+        layout, space, p = self.layout, self.space, self.space.p
         queue = [row for row in (layout.element_row(g, p) for g in gens) if space.add(row)]
+        grew = bool(queue)
+        if grew:
+            self.cuts = None
         while queue:
             x = queue.pop()
-            for m in mults:
+            for m in self.mults:
                 y = layout.times(x, m, p)
                 if space.add(y):
                     queue.append(y)
-        self.layout = layout
-        self.space = space
-        self.cuts: dict[Vec, int] | None = None  # filled by dim_at_least
+        return grew
+
+    def copy(self) -> JetSpace:
+        """A private copy to extend: the spans jet_span hands out are shared."""
+        out = object.__new__(JetSpace)
+        out.layout, out.mults, out.cuts = self.layout, self.mults, self.cuts
+        out.space = self.space.copy()
+        return out
 
     @property
     def rank(self) -> int:
@@ -283,10 +306,28 @@ def _cut_dims(space: RowSpaceQ, layout: JetLayout) -> dict[Vec, int]:
     return out
 
 
+def _memo(curve: CurvePresentation, key: tuple, build: Callable[[], T]) -> T:
+    """curve.memo[key], built on the first request.  A build that raises
+    leaves no entry."""
+    memo = curve.memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]  # type: ignore[return-value]
+
+
+def _jets(curve: CurvePresentation, gens: Sequence[Element], N: Vec, p: int = 0) -> JetSpace:
+    """The curve's one jet span of gens at N over Q, or GF(p) when p is given.
+
+    The span is shared by every caller: extend only a copy of it.
+    """
+    gens, N = tuple(gens), tuple(N)
+    return _memo(curve, ("jets", gens, N, p), lambda: JetSpace(curve, gens, N, p))
+
+
 def jet_span(a: FracIdeal, N: Vec) -> JetSpace:
     """Jets of the generator module of a (the monomial shift is ignored here;
     callers rebase to a common shift before comparing two ideals)."""
-    return JetSpace(a.curve, a.gens, N)
+    return _jets(a.curve, a.gens, N)
 
 
 # -- certified conductors -----------------------------------------------------
@@ -321,13 +362,14 @@ def _gen_conductor(a: FracIdeal) -> Vec:
     m_i <= e < N_i lies in that span: a jet matching t_i^e below N differs
     from it by an element of order >= N >= hi, which the module holds.  The
     condition splits by axis, so each coordinate is the foot of its run of
-    units below hi_i.
+    units below hi_i.  The curve's memo holds one search per generator tuple.
     """
-    if a._cond is not None:
-        return a._cond
-    if a.gens in a.curve.conductors:  # found for another ideal object
-        a._cond = a.curve.conductors[a.gens]
-        return a._cond
+    if a._cond is None:
+        a._cond = _memo(a.curve, ("cond", a.gens), lambda: _climb_conductor(a))
+    return a._cond
+
+
+def _climb_conductor(a: FracIdeal) -> Vec:
     k = 0
     while k <= CONDUCTOR_CLIMB:
         hi = tuple(x + k for x in a.vmin)
@@ -345,8 +387,7 @@ def _gen_conductor(a: FracIdeal) -> Vec:
         while e and space.space.contains(space.layout.unit_row(i, e - 1)):
             e -= 1
         out.append(e)
-    a._cond = a.curve.conductors[a.gens] = tuple(out)
-    return a._cond
+    return tuple(out)
 
 
 # -- membership, containment, dimensions --------------------------------------
@@ -455,9 +496,31 @@ def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     outright.  In between, membership of x*g_j in a is a finite linear
     system on jet residuals; its nullspace plus the guaranteed tail band
     generate the transporter.
+
+    A nullspace element is kept as a generator only when its jet at
+    N = hi + p (hi the foot of the tail band, p the order vector of the
+    curve's nonzerodivisor) is not already in the closed jet span of the
+    band and of the elements kept before it.  Dropping it is exact: the
+    band puts every element of order >= hi inside the module, and an
+    element whose jet below N lies in the span differs from a module
+    element by something of order >= N >= hi.  So the kept elements and
+    the band generate the same module as the whole nullspace, with one
+    generator per element that grows the span instead of one per nullspace
+    vector.
+
+    The curve's memo holds one result per pair of generator tuples and
+    shifts, so a repeated colon, and with it a repeated dual, is free.
     """
     if a.curve is not b.curve:
         raise SingvalError("colon of ideals over different curve presentations")
+    return _memo(a.curve, ("colon", a.gens, a.shift, b.gens, b.shift), lambda: _colon(a, b))
+
+
+def _colon_candidates(
+    a: FracIdeal, b: FracIdeal
+) -> tuple[list[Element], list[Element], Vec, Vec]:
+    """The nullspace elements, the tail band, the common shift neg and the
+    band's top hi of colon(a, b), all in the frame shifted by neg."""
     a2, b2 = common_shift(a, b)
     curve = a.curve
     r = curve.r
@@ -484,17 +547,24 @@ def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
         nrows = len(cols[0])
         constraint = [[cols[u][k] for u in range(len(unknowns))] for k in range(nrows)]
         sol_rows = _nullspace(constraint, len(unknowns))
-    gens: list[Element] = []
+    found: list[Element] = []
     for v in sol_rows:
         z = el_zero(r)
         for coeff, (i, e) in zip(v, unknowns):
             if coeff:
                 z = el_add(z, el_unit_monomial(r, i, e, coeff))
-        gens.append(z)
-    for i in range(r):
-        for e in range(curve.z0_order[i]):
-            gens.append(el_unit_monomial(r, i, hi[i] + e))
-    out = FracIdeal(curve, gens, neg)
+        found.append(z)
+    tail = [el_unit_monomial(r, i, hi[i] + e)
+            for i in range(r) for e in range(curve.z0_order[i])]
+    return found, tail, neg, hi
+
+
+def _colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
+    """colon(a, b) with the pruned generators, re-verified."""
+    found, tail, neg, hi = _colon_candidates(a, b)
+    curve = a.curve
+    span = _jets(curve, tail, vec_add(hi, curve.z0_order)).copy()
+    out = FracIdeal(curve, [z for z in found if span.extend([z])] + tail, neg)
     if not contains_module(a, ideal_product(out, b)):
         raise SingvalError("internal: the computed transporter fails re-verification")
     return out
@@ -692,25 +762,50 @@ def gorenstein_by_lengths(curve: CurvePresentation) -> bool:
 # -- finite-field counting oracle --------------------------------------------------
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (the least strong pseudoprime to all of them; Sorenson and Webster,
+# Math. Comp. 86 (2017)).  Bases up to 37 alone are exact only below
+# 318665857834031151167461, which they pass although it is composite.
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality, exact for n < PRIME_TEST_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _modp_jet_basis(curve: CurvePresentation, p: int, N: Vec) -> tuple[list[list[int]], JetLayout]:
     """Row basis of the curve ring's jets at N over the prime field."""
-    space = JetSpace(curve, [el_one(curve.r)], N, p)
+    space = _jets(curve, [el_one(curve.r)], N, p)
     return space.space.rows, space.layout
 
 
 def _modp_precision(curve: CurvePresentation, p: int, level: int | Vec) -> Vec:
     """Truncation N = level + 1 of the GF(p) oracle, after the prime check."""
+    if p >= PRIME_TEST_LIMIT:
+        raise EnumerationTooLarge(
+            f"q = {p} is at or above {PRIME_TEST_LIMIT}, the limit below which "
+            "the primality test is exact")
     if not _is_prime(p):
         raise SingvalError(f"the specialization oracle needs a prime, got {p}")
     if isinstance(level, int):

@@ -59,7 +59,7 @@ from .poincare import (
     verify_proj_functional_equation,
     verify_proj_support,
 )
-from .schemas import CurveInput, InputBundle, load_input
+from .schemas import CurveInput, load_input
 from .valuemodule import ValueModule, Verdict, ring_like
 
 EXIT_OK = 0
@@ -89,13 +89,6 @@ def _emit(out: TextIO, fmt: str, lines: list[str], obj: dict) -> None:
         out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     else:
         out.write("\n".join(lines) + "\n")
-
-
-def _concrete(bundle: InputBundle) -> CurveInput:
-    if bundle.curve_input is None:
-        raise SchemaError("this command needs a concrete curve file, "
-                          "got an abstract value-module file")
-    return bundle.curve_input
 
 
 def _resolve_ideal(ci: CurveInput, name: str) -> FracIdeal:
@@ -171,7 +164,7 @@ def _routes_check(
 
 
 def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
-    ci = _concrete(load_input(args.file))
+    ci = load_input(args.file, concrete=True).curve_input
     curve = ci.curve
     ring = ring_ideal(curve)
     vm = value_set(ring, margin=args.margin)
@@ -213,7 +206,7 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_ideal_info(args: argparse.Namespace, out: TextIO) -> int:
-    ci = _concrete(load_input(args.file))
+    ci = load_input(args.file, concrete=True).curve_input
     b = _resolve_ideal(ci, args.ideal)
     canonical, cname = _resolve_canonical(ci, args.canonical)
     vm = value_set(b, margin=args.margin)
@@ -501,7 +494,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    curve = _concrete(load_input(args.file)).curve
+    curve = load_input(args.file, concrete=True).curve_input.curve
     vm = value_set(ring_ideal(curve), margin=args.margin)
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
     pg = series_poincare(vm, w)

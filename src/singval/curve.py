@@ -173,7 +173,7 @@ class CurvePresentation:
     dropped, and what remains has order >= 1 on every branch it touches.
     """
 
-    __slots__ = ("r", "gens", "z0_order", "conductors")
+    __slots__ = ("r", "gens", "z0_order", "memo")
 
     def __init__(self, r: int, raw_gens: Sequence[Element]):
         if not isinstance(r, int) or r < 1:
@@ -200,7 +200,10 @@ class CurvePresentation:
         # coefficient at vmin is a nonzero polynomial in l, so some l gives
         # order exactly vmin.  el_min_orders rejects a branch no generator touches.
         self.z0_order = el_min_orders(self.gens, r)
-        self.conductors: dict[tuple[Element, ...], Vec] = {}  # generators -> conductor
+        # what algebra derives from this curve, keyed by everything it
+        # depends on: conductors by generators, jet spans by generators,
+        # precision and prime, colons by both modules' generators and shifts
+        self.memo: dict[tuple, object] = {}
 
 
 class FracIdeal:

@@ -164,7 +164,9 @@ def parse_input(data: object, path: str = "$") -> InputBundle:
     return InputBundle("concrete", parse_curve_input(data, path), None)
 
 
-def load_input(path: str | Path) -> InputBundle:
+def load_input(path: str | Path, concrete: bool = False) -> InputBundle:
+    """The parsed file.  With concrete, an abstract file is refused before
+    its table is parsed, so its well-formedness gate never runs."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -174,6 +176,9 @@ def load_input(path: str | Path) -> InputBundle:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if concrete and isinstance(data, dict) and data.get("mode") == "value-module":
+        raise SchemaError("this command needs a concrete curve file, "
+                          "got an abstract value-module file")
     return parse_input(data)
 
 

@@ -56,6 +56,9 @@ from singval.errors import (
     SingvalError,
 )
 from singval.lattice import vec_check, vec_sub
+from singval.schemas import load_input
+
+from conftest import CORPUS
 
 
 def series(*pairs):
@@ -256,6 +259,93 @@ def test_colon_is_contained_in_first_argument_quotient(curves):
     c = colon(ring, normalization_ideal(curve))
     assert contains_module(ring, c)
     assert contains_module(normalization_ideal(curve), c)
+
+
+def unpruned_colon(a, b):
+    """The reference colon: every nullspace vector kept, plus the tail band."""
+    found, tail, neg, _ = algebra._colon_candidates(a, b)
+    return FracIdeal(a.curve, found + tail, neg)
+
+
+def t7_t9():
+    return CurvePresentation(1, [(series((7, 1), (8, 2)),),
+                                 (series((9, 1), (10, -3), (11, 5)),)])
+
+
+def _colons_computed(monkeypatch, run):
+    """run() with every colon computed (not served by the memo) recorded."""
+    pairs = []
+    real = algebra._colon
+    monkeypatch.setattr(algebra, "_colon", lambda a, b: pairs.append((a, b)) or real(a, b))
+    run()
+    monkeypatch.undo()
+    return pairs
+
+
+def test_pruned_colon_matches_the_unpruned_reference(monkeypatch, capsys):
+    runs = [lambda name=name: main(["verify", str(CORPUS / f"{name}.json"), "--all-ideals"])
+            for name in ["cusp", "e8", "semigroup345", "node", "tacnode"]]
+    runs.append(lambda: verify_canonical(ring_ideal(t7_t9())))
+    checked = 0
+    for run in runs:
+        for a, b in _colons_computed(monkeypatch, run):
+            got, want = colon(a, b), unpruned_colon(a, b)
+            assert len(got.gens) <= len(want.gens)
+            assert module_equal(got, want), (a, b)
+            checked += 1
+    capsys.readouterr()
+    assert checked > 40
+
+
+def test_double_colon_needs_few_generators():
+    # the ring of t^9, t^11 is Gorenstein, so c : (c : O) = O with c = O;
+    # the unpruned transporter carries 49 generators, the multiplicity is 9
+    c = ring_ideal(family_curves()["t9_t11"])
+    back = colon(c, colon(c, c))
+    assert module_equal(back, c)
+    assert len(back.gens) <= 10
+
+
+def test_verify_builds_each_colon_and_each_span_once(monkeypatch, capsys):
+    calls, spans = [], []
+    real_colon, real_init = algebra.colon, JetSpace.__init__
+
+    def init(self, curve, gens, N, p=0):
+        spans.append((tuple(gens), tuple(N), p))
+        real_init(self, curve, gens, N, p)
+
+    monkeypatch.setattr(algebra, "colon", lambda a, b: calls.append(1) or real_colon(a, b))
+    monkeypatch.setattr(JetSpace, "__init__", init)
+    pairs = _colons_computed(monkeypatch, lambda: main(
+        ["verify", str(CORPUS / "e8.json"), "--all-ideals"]))
+    assert "result: pass" in capsys.readouterr().out
+    keys = [(a.gens, a.shift, b.gens, b.shift) for a, b in pairs]
+    assert len(keys) == len(set(keys)) < len(calls)
+    assert len(spans) == len(set(spans))
+
+
+def test_memo_spans_are_never_grown():
+    # colon grows a private copy of the tail band's span; every span the
+    # memo holds must stay the span of its own key
+    curve = t7_t9()
+    assert verify_canonical(ring_ideal(curve))[0]
+    checked = 0
+    for key, value in curve.memo.items():
+        if key[0] == "jets":
+            _, gens, N, p = key
+            assert value.space.rows == JetSpace(curve, gens, N, p).space.rows, key
+            checked += 1
+    assert checked > 20
+
+
+def test_rational_and_modp_spans_are_distinct_memo_entries():
+    curve = load_input(CORPUS / "cusp.json").curve_input.curve
+    over_q = algebra.jet_span(ring_ideal(curve), (5,))
+    rows, _ = _modp_jet_basis(curve, 2, (5,))
+    assert _modp_jet_basis(curve, 2, (5,))[0] is rows
+    assert algebra.jet_span(ring_ideal(curve), (5,)) is over_q
+    assert rows is not over_q.space.rows
+    assert sorted(s.space.p for s in curve.memo.values() if isinstance(s, JetSpace)) == [0, 2]
 
 
 # ------------------------------------------------------------------- lengths

@@ -10,6 +10,7 @@ import pytest
 
 from singval import algebra
 from singval.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from singval.valuemodule import ValueModule
 
 from conftest import CORPUS, ROOT
 
@@ -149,13 +150,16 @@ def test_unknown_ideal_is_input_error(capsys):
     assert "mystery" in err and "max" in err
 
 
-def test_abstract_file_rejected_where_a_curve_is_needed(capsys):
-    code, _, err = run(capsys, "info", corpus_file("abstract_e8"))
-    assert code == EXIT_INPUT
-    code, _, err = run(
-        capsys, "count", corpus_file("abstract_e8"), "--q", "2", "--level", "3"
-    )
-    assert code == EXIT_INPUT
+def test_abstract_file_rejected_where_a_curve_is_needed(capsys, monkeypatch):
+    # refused before the table is parsed: its O(n^3) well-formedness gate
+    # takes a minute on the ordinary 5-fold table
+    gated = []
+    monkeypatch.setattr(ValueModule, "is_good", lambda vm: gated.append(vm))
+    for argv in (["info"], ["ideal-info"], ["count", "--q", "2", "--level", "3"]):
+        code, _, err = run(capsys, argv[0], corpus_file("abstract_e8"), *argv[1:])
+        assert code == EXIT_INPUT
+        assert "this command needs a concrete curve file" in err
+    assert not gated
 
 
 def test_bad_margin_is_input_error(capsys):
@@ -233,20 +237,48 @@ def test_ceiling_or_level_below_one_is_input_error(capsys):
 
 
 def test_count_enumerates_the_span_once(capsys, monkeypatch):
-    # one basis for the rank check and one for the histogram, however many
+    # the rank check and the histogram share one GF(p) span, however many
     # order vectors the window holds (3^2 here)
     builds = []
-    real = algebra._modp_jet_basis
+    real = algebra.JetSpace.__init__
 
-    def counted(*args):
-        builds.append(args)
-        return real(*args)
+    def counted(self, curve, gens, N, p=0):
+        builds.append(p)
+        real(self, curve, gens, N, p)
 
-    monkeypatch.setattr(algebra, "_modp_jet_basis", counted)
+    monkeypatch.setattr(algebra.JetSpace, "__init__", counted)
     code, out, _ = run(capsys, "count", corpus_file("node"), "--q", "3", "--level", "3")
     assert code == EXIT_OK
     assert out.count("counted=") == 9
-    assert len(builds) <= 2
+    assert builds.count(3) == 1
+
+
+def test_large_prime_is_tested_at_once(capsys):
+    # 10^18 + 3 is prime; trial division would run to 10^9.  With the
+    # ceiling raised past q the span (rank 2) is refused by q^2 instead.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", corpus_file("cusp"), "--q", "1000000000000000003",
+                       "--level", "2", "--ceiling", "10000000000000000000")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_RESOURCE
+    assert "1000000000000000003^2 vectors exceed" in err
+    # no primality test is exact from 3317044064679887385961981 on
+    q = str(algebra.PRIME_TEST_LIMIT + 2)
+    code, _, err = run(capsys, "count", corpus_file("cusp"), "--q", q, "--level", "2",
+                       "--ceiling", "1" + "0" * 30)
+    assert code == EXIT_RESOURCE
+    assert f"q = {q} is at or above 3317044064679887385961981" in err
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(algebra._is_prime(n) == trial(n) for n in range(-2, 5000))
+    # composites that are strong pseudoprimes to every base up to 7 and 37
+    assert not algebra._is_prime(3215031751)
+    assert not algebra._is_prime(318665857834031151167461)
+    assert algebra._is_prime(2 ** 61 - 1) and algebra._is_prime(10 ** 18 + 3)
 
 
 TRACED_COUNT = """
