@@ -18,10 +18,13 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, count, product as iter_product
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Sequence, TypeVar
 
 from .curve import (
+    BranchSeries,
     CurvePresentation,
     Element,
     FracIdeal,
@@ -51,6 +54,7 @@ from .lattice import Vec, vec_add, vec_check, vec_max, vec_neg, vec_sub
 from .valuemodule import ValueModule
 
 _ZERO = Fraction(0)
+_denominator = attrgetter("denominator")
 # the conductor search climbs at most this far above the minimal orders
 CONDUCTOR_CLIMB = 128
 # pseudo-random transporter combinations tried by self_dual_direct
@@ -63,14 +67,18 @@ T = TypeVar("T")
 
 
 class RowSpaceQ:
-    """A row space kept in reduced echelon form, over the rationals or, when
-    a prime p is given, over GF(p) with entries as ints in [0, p).
+    """A row space kept in reduced echelon form, over GF(p) with monic rows
+    of ints in [0, p) when a prime p is given, else over the rationals with
+    primitive integer rows (gcd 1, positive pivot).
 
     Column order is fixed by the caller; pivots are the first nonzero
     columns, so echelon rows sort by leading column and every question
     (rank, membership, residual) is a single reduction pass.  The reduced
     echelon form of a span is unique, so the rows do not depend on the
-    order in which a span is added.
+    order in which a span is added.  Over Q a query row is scaled to
+    integers once; clearing an entry c with pivot d multiplies it by
+    d / gcd(c, d), and its content is divided out again (fraction-free
+    elimination, Bareiss, Math. Comp. 22, 1968).
     """
 
     __slots__ = ("ncols", "p", "rows", "pivots")
@@ -78,28 +86,42 @@ class RowSpaceQ:
     def __init__(self, ncols: int, p: int = 0):
         self.ncols = ncols
         self.p = p
-        self.rows: list[list] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def residual(self, row: Sequence) -> list:
-        v = list(row)
-        if len(v) != self.ncols:
-            raise SingvalError(f"row has {len(v)} entries, space has {self.ncols} columns")
+    def _reduce(self, row: Sequence) -> tuple[list[int], Fraction]:
+        """(v, s): the integer vector v that vanishes on every pivot column,
+        with s * v in row + span (s is 1 mod p).  Rows are zero before their
+        pivot, so clearing pivot pc by a unit step leaves v[:pc] alone."""
+        if len(row) != self.ncols:
+            raise SingvalError(f"row has {len(row)} entries, space has {self.ncols} columns")
         p = self.p
+        v, den = _integral(row)
+        num = 1
         for pc, r in zip(self.pivots, self.rows):
             c = v[pc] % p if p else v[pc]
             if c:
-                for j in range(pc, self.ncols):
-                    if r[j]:  # skip zeros: Fraction arithmetic dominates the cost
-                        v[j] -= c * r[j]
-        return [x % p for x in v] if p else v
+                g = gcd(c, r[pc])
+                c, d = c // g, r[pc] // g
+                if d == 1:
+                    v[pc:] = [a - c * b for a, b in zip(v[pc:], r[pc:])]
+                    continue
+                v = [d * a - c * b for a, b in zip(v, r)]
+                g = gcd(*v)
+                v = [a // g for a in v]
+                num, den = num * g, den * d
+        return [x % p for x in v] if p else v, Fraction(num, den)
+
+    def residual(self, row: Sequence) -> list:
+        v, s = self._reduce(row)
+        return v if s == 1 else [s * x if x else 0 for x in v]
 
     def contains(self, row: Sequence) -> bool:
-        return not any(self.residual(row))
+        return not any(self._reduce(row)[0])
 
     def copy(self) -> RowSpaceQ:
         out = RowSpaceQ(self.ncols, self.p)
@@ -109,29 +131,35 @@ class RowSpaceQ:
 
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True when the rank grew."""
-        v = self.residual(row)
-        pc = next((j for j, c in enumerate(v) if c), None)
+        v = self._reduce(row)[0]
+        pc = next(compress(count(), v), None)
         if pc is None:
             return False
         p = self.p
-        if p:
-            inv = pow(v[pc], -1, p)
-            v = [c * inv % p for c in v]
-        else:
-            inv = v[pc]
-            v = [c / inv if c else c for c in v]
-        for r in self.rows:
+        s = pow(v[pc], -1, p) if p else (gcd(*v) if v[pc] > 0 else -gcd(*v))
+        v = [c * s % p for c in v] if p else [c // s for c in v]
+        for k, r in enumerate(self.rows):
             c = r[pc]
-            if c:
-                for j in range(pc, self.ncols):
-                    if v[j]:
-                        r[j] -= c * v[j]
-                if p:
-                    r[pc:] = [x % p for x in r[pc:]]
-        k = next((idx for idx, q in enumerate(self.pivots) if q > pc), len(self.pivots))
+            if c and p:
+                self.rows[k] = [(a - c * b) % p for a, b in zip(r, v)]
+            elif c:
+                g = gcd(c, v[pc])
+                c, d = c // g, v[pc] // g
+                r = [d * a - c * b for a, b in zip(r, v)]
+                g = gcd(*r)
+                self.rows[k] = [a // g for a in r] if g > 1 else r
+        k = bisect_left(self.pivots, pc)
         self.rows.insert(k, v)
         self.pivots.insert(k, pc)
         return True
+
+
+def _integral(row: Sequence) -> tuple[list[int], int]:
+    """(den * row, den) for the least common denominator den of row."""
+    den = lcm(*map(_denominator, row))
+    if den == 1:
+        return list(map(int, row)), 1
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 # -- jets ---------------------------------------------------------------------
@@ -153,8 +181,8 @@ def _reduce(c: Fraction, p: int, nonzero: bool = False) -> int:
 @dataclass(frozen=True)
 class JetLayout:
     """Branch-major coordinates for the truncation at N: column (i, e) with
-    0 <= e < N_i sits at offset_i + e.  Rows hold Fractions, or ints mod p
-    when a prime p is passed."""
+    0 <= e < N_i sits at offset_i + e.  Element rows hold the exact
+    coefficients, or ints mod p when a prime p is passed."""
 
     N: Vec
 
@@ -177,16 +205,11 @@ class JetLayout:
 
     def element_row(self, z: Element, p: int = 0) -> list:
         """The coefficients of z below N, reduced mod p when p is given."""
-        row: list = []
-        for i, x in enumerate(z):
-            for e in range(self.N[i]):
-                c = x.coeffs.get(e, _ZERO)
-                row.append(_reduce(c, p) if p else c)
-        return row
-
-    def unit_row(self, i: int, e: int) -> list[Fraction]:
-        row = [_ZERO] * self.ncols
-        row[self.offsets[i] + e] = Fraction(1)
+        row: list = [0] * self.ncols
+        for base, n, x in zip(self.offsets, self.N, z):
+            for e, c in x.coeffs.items():
+                if e < n:
+                    row[base + e] = _reduce(c, p) if p else c
         return row
 
     def times(self, row: Sequence, gen: Sequence[Sequence[tuple]], p: int = 0) -> list:
@@ -195,7 +218,7 @@ class JetLayout:
         gen holds one list of (exponent, coefficient) pairs per branch, all
         exponents nonnegative; only the products below N are formed.
         """
-        out: list = [0 if p else _ZERO] * self.ncols
+        out: list = [0] * self.ncols
         for base, n, terms in zip(self.offsets, self.N, gen):
             for e, c in terms:
                 for k in range(base, base + n - e):
@@ -212,7 +235,9 @@ class JetSpace:
     Built by closing the generator rows under multiplication by the curve's
     algebra generators.  Dropping rows that do not grow the rank is sound:
     truncation commutes with multiplication by elements of nonnegative
-    order, so a dependent truncated element contributes nothing new.  Mod p
+    order, so a dependent truncated element contributes nothing new.  Over
+    Q every row and every algebra generator is scaled to integers by one
+    common denominator for the whole element, which changes no span.  Mod p
     every generator coefficient below N must reduce to a nonzero residue,
     or BadReduction is raised.
     """
@@ -225,19 +250,20 @@ class JetSpace:
             raise SingvalError(f"jet precision must be positive on every branch, got {N}")
         self.layout = JetLayout(N)
         self.space = RowSpaceQ(self.layout.ncols, p)
-        self.mults = [
-            [[(e, _reduce(c, p, nonzero=True) if p else c) for e, c in x.coeffs.items() if e < n]
-             for x, n in zip(m, N)]
-            for m in curve.gens
-        ]
-        self.cuts: dict[Vec, int] | None = None  # filled by dim_at_least
+        self.mults = []
+        for m in curve.gens:
+            d = 1 if p else lcm(*(c.denominator for x in m for c in x.coeffs.values()))
+            self.mults.append([[(e, _reduce(c, p, nonzero=True) if p else int(c * d))
+                                for e, c in x.coeffs.items() if e < n] for x, n in zip(m, N)])
+        self.cuts: dict[Vec, int] | None = None  # filled by cut_table
         self.extend(gens)
 
     def extend(self, gens: Sequence[Element]) -> bool:
         """Add the jets of gens and close the span again under the curve's
         algebra generators; True when the rank grew."""
         layout, space, p = self.layout, self.space, self.space.p
-        queue = [row for row in (layout.element_row(g, p) for g in gens) if space.add(row)]
+        rows = (_integral(layout.element_row(g, p))[0] for g in gens)
+        queue = [row for row in rows if space.add(row)]
         grew = bool(queue)
         if grew:
             self.cuts = None
@@ -263,15 +289,26 @@ class JetSpace:
     def contains_element(self, z: Element) -> bool:
         return self.space.contains(self.layout.element_row(z))
 
+    def has_unit(self, i: int, e: int) -> bool:
+        """Does the span hold t_i^e?  In reduced echelon form, exactly when
+        (i, e) is a pivot whose row has no other nonzero entry."""
+        j = self.layout.offsets[i] + e
+        k = bisect_left(self.space.pivots, j)
+        return j in self.space.pivots[k:k + 1] and not any(self.space.rows[k][j + 1:])
+
+    def cut_table(self) -> dict[Vec, int]:
+        """dim_at_least at every w in [0, N], built on the first request."""
+        if self.cuts is None:
+            self.cuts = _cut_dims(self.space, self.layout)
+        return self.cuts
+
     def dim_at_least(self, w: Vec) -> int:
         """Dimension of the subspace of the span supported on columns (i, e)
         with e >= w_i, read from the cut table; negative w_i cut nothing."""
         w = vec_check(w, self.layout.r)
         if any(x > n for x, n in zip(w, self.layout.N)):
             raise SingvalError(f"support cut {w} exceeds the jet precision {self.layout.N}")
-        if self.cuts is None:
-            self.cuts = _cut_dims(self.space, self.layout)
-        return self.cuts[tuple(max(0, x) for x in w)]
+        return self.cut_table()[tuple(max(0, x) for x in w)]
 
 
 def _cut_dims(space: RowSpaceQ, layout: JetLayout) -> dict[Vec, int]:
@@ -346,11 +383,8 @@ def _band_contained(a: FracIdeal, m: Vec) -> JetSpace | None:
     if any(x < 0 for x in m):
         return None
     space = jet_span(a, vec_add(m, a.curve.z0_order))
-    for i, n in enumerate(space.layout.N):
-        for e in range(m[i], n):
-            if not space.space.contains(space.layout.unit_row(i, e)):
-                return None
-    return space
+    units = (space.has_unit(i, e) for i, n in enumerate(space.layout.N) for e in range(m[i], n))
+    return space if all(units) else None
 
 
 def _gen_conductor(a: FracIdeal) -> Vec:
@@ -384,7 +418,7 @@ def _climb_conductor(a: FracIdeal) -> Vec:
             "conductor lies higher, or two branches coincide and the curve is not reduced")
     out = []
     for i, e in enumerate(hi):
-        while e and space.space.contains(space.layout.unit_row(i, e - 1)):
+        while e and space.has_unit(i, e - 1):
             e -= 1
         out.append(e)
     return tuple(out)
@@ -474,15 +508,16 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace of the given constraint matrix."""
     sp = RowSpaceQ(ncols)
     for row in rows:
-        sp.add(row)
+        if any(row):
+            sp.add(row)
     pivot_set = set(sp.pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for f in free:
         v = [_ZERO] * ncols
         v[f] = Fraction(1)
-        for p, r in zip(sp.pivots, sp.rows):
-            v[p] = -r[f]
+        for pc, r in zip(sp.pivots, sp.rows):
+            v[pc] = Fraction(-r[f], r[pc])
         basis.append(v)
     return basis
 
@@ -534,26 +569,27 @@ def _colon_candidates(
     M = vec_add(conda, neg)
     M = vec_max(M, (1,) * r)
     space = jet_span(a_shift, M)
+    layout = space.layout
     unknowns = [(i, e) for i in range(r) for e in range(lo[i], max(lo[i], hi[i]))]
     sol_rows: list[list[Fraction]] = []
     if unknowns:
+        g_rows = [layout.element_row(g) for g in b2.gens]
         cols: list[list[Fraction]] = []
         for (i, e) in unknowns:
+            base, n = layout.offsets[i], layout.N[i]
             stacked: list[Fraction] = []
-            for g in b2.gens:
-                w = el_mul(el_unit_monomial(r, i, e), g)
-                stacked.extend(space.space.residual(space.layout.element_row(w)))
+            for g_row in g_rows:  # t_i^e * g: branch i of g's row, moved up by e
+                w = [0] * layout.ncols
+                w[base + e:base + n] = g_row[base:base + n - e]
+                stacked.extend(space.space.residual(w))
             cols.append(stacked)
-        nrows = len(cols[0])
-        constraint = [[cols[u][k] for u in range(len(unknowns))] for k in range(nrows)]
-        sol_rows = _nullspace(constraint, len(unknowns))
+        sol_rows = _nullspace(list(zip(*cols)), len(unknowns))
     found: list[Element] = []
     for v in sol_rows:
-        z = el_zero(r)
+        terms: list[dict[int, Fraction]] = [{} for _ in range(r)]
         for coeff, (i, e) in zip(v, unknowns):
-            if coeff:
-                z = el_add(z, el_unit_monomial(r, i, e, coeff))
-        found.append(z)
+            terms[i][e] = coeff
+        found.append(tuple(BranchSeries(t) for t in terms))
     tail = [el_unit_monomial(r, i, hi[i] + e)
             for i in range(r) for e in range(curve.z0_order[i])]
     return found, tail, neg, hi
@@ -673,7 +709,8 @@ def value_set(b: FracIdeal, margin: int = 2) -> ValueModule:
     Normalizes by the minimal order vector, certifies the conductor, fills
     the membership table on [0, gamma] through jet dimension jumps, and
     verifies the clip rule on a collar of width margin + 2 before trusting
-    the box.  The module's deg_offset is the degree of the normalized ideal.
+    the box; the cut table is read at w = v + svec, inside [0, N] for every
+    v in the box.  The module's deg_offset is the degree of the normalized ideal.
     """
     if margin < 1:
         raise SingvalError("margin must be at least 1")
@@ -684,25 +721,12 @@ def value_set(b: FracIdeal, margin: int = 2) -> ValueModule:
     collar = margin + 2
     top = tuple(g + collar for g in gamma)
     N = vec_add(vec_add(top, svec), (2,) * r)
-    space = jet_span(bn, N)
-    dim_cache: dict[Vec, int] = {}
-
-    def dim_at(v: Vec) -> int:
-        w = tuple(min(max(x + s, 0), n) for x, s, n in zip(v, svec, N))
-        if w not in dim_cache:
-            dim_cache[w] = space.dim_at_least(w)
-        return dim_cache[w]
-
-    def jump(v: Vec, i: int) -> int:
-        return dim_at(v) - dim_at(tuple(x + (1 if j == i else 0) for j, x in enumerate(v)))
-
-    def extracted_member(v: Vec) -> bool:
-        return all(jump(v, i) == 1 for i in range(r))
-
+    cuts = jet_span(bn, N).cut_table()
     members = []
     table: dict[Vec, bool] = {}
     for v in iter_product(*[range(0, t + 1) for t in top]):
-        table[v] = extracted_member(v)
+        w = vec_add(v, svec)
+        table[v] = all(cuts[w] - cuts[w[:i] + (w[i] + 1,) + w[i + 1:]] == 1 for i in range(r))
         if table[v] and all(x <= g for x, g in zip(v, gamma)):
             members.append(v)
     for v, got in table.items():

@@ -531,68 +531,67 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
 # -- argument plumbing ----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("info", "ideal-info", "series", "verify", "count")
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of only the one named.  Built for
+    one, its usage line still lists all five, the choices argparse would
+    print, so each message it can give reads as the full parser's."""
     p = argparse.ArgumentParser(
         prog="singval",
         description="Value semigroups, duality and motivic series of curve "
                     "singularities, over exact rational arithmetic.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=only and "{" + ",".join(COMMANDS) + "}")
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def command(name: str, func: Callable, help: str) -> argparse.ArgumentParser | None:
+        if only not in (None, name):
+            return None
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("file", help="input JSON file")
         sp.add_argument("--margin", type=int, default=2,
                         help="window margin around the conductor box (default 2)")
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("info", help="curve invariants and Gorenstein verdicts")
-    common(sp)
-    sp.set_defaults(func=cmd_info)
-
-    sp = sub.add_parser("ideal-info",
-                        help="value set, lengths and self-duality for one ideal")
-    common(sp)
-    sp.add_argument("--ideal", default="ring", help='ideal name (default "ring")')
-    sp.add_argument("--canonical", default=None,
-                    help="override the file's canonical ideal reference")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the direct self-duality probe (default 0)")
-    sp.set_defaults(func=cmd_ideal_info)
-
-    sp = sub.add_parser("series", help="emit motivic series coefficient tables")
-    common(sp)
-    sp.add_argument("--ideal", default=None,
-                    help='ideal name (default "ring"; concrete files only)')
-    sp.add_argument("--which", default="pg,lg,phat,lhat",
-                    help="comma list from a,lg,pg,lhat,phat (default pg,lg,phat,lhat)")
-    sp.add_argument("--q", type=int, default=None,
-                    help="also evaluate every coefficient at L = q")
-    sp.set_defaults(func=cmd_series)
-
-    sp = sub.add_parser("verify", help="run every applicable identity check")
-    common(sp)
-    sp.add_argument("--all-ideals", action="store_true",
-                    help="check every ideal in the file, not just the ring")
-    sp.add_argument("--canonical", default=None,
-                    help="override the file's canonical ideal reference")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the direct self-duality probe (default 0)")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("count",
-                        help="finite-field cylinder counts vs the L = q prediction")
-    common(sp)
-    sp.add_argument("--q", type=int, required=True, help="prime field size")
-    sp.add_argument("--level", type=int, required=True,
-                    help="count order vectors v in [0, level - 1]^r")
-    sp.add_argument("--ceiling", type=int, default=2 ** 24,
-                    help="enumeration ceiling on field points (default 2^24)")
-    sp.set_defaults(func=cmd_count)
+    command("info", cmd_info, "curve invariants and Gorenstein verdicts")
+    if sp := command("ideal-info", cmd_ideal_info,
+                     "value set, lengths and self-duality for one ideal"):
+        sp.add_argument("--ideal", default="ring", help='ideal name (default "ring")')
+        sp.add_argument("--canonical", default=None,
+                        help="override the file's canonical ideal reference")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed for the direct self-duality probe (default 0)")
+    if sp := command("series", cmd_series, "emit motivic series coefficient tables"):
+        sp.add_argument("--ideal", default=None,
+                        help='ideal name (default "ring"; concrete files only)')
+        sp.add_argument("--which", default="pg,lg,phat,lhat",
+                        help="comma list from a,lg,pg,lhat,phat (default pg,lg,phat,lhat)")
+        sp.add_argument("--q", type=int, default=None,
+                        help="also evaluate every coefficient at L = q")
+    if sp := command("verify", cmd_verify, "run every applicable identity check"):
+        sp.add_argument("--all-ideals", action="store_true",
+                        help="check every ideal in the file, not just the ring")
+        sp.add_argument("--canonical", default=None,
+                        help="override the file's canonical ideal reference")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed for the direct self-duality probe (default 0)")
+    if sp := command("count", cmd_count,
+                     "finite-field cylinder counts vs the L = q prediction"):
+        sp.add_argument("--q", type=int, required=True, help="prime field size")
+        sp.add_argument("--level", type=int, required=True,
+                        help="count order vectors v in [0, level - 1]^r")
+        sp.add_argument("--ceiling", type=int, default=2 ** 24,
+                        help="enumeration ceiling on field points (default 2^24)")
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.margin < 1:
             raise SchemaError(f"margin must be at least 1, got {args.margin}")

@@ -22,9 +22,10 @@ _ZERO = Fraction(0)
 
 class BranchSeries:
     """One branch coordinate: the finite sum of c_e t^e with exact nonzero
-    Fraction c_e, stored by exponent."""
+    Fraction c_e, stored by exponent.  coeffs is never changed after
+    construction, so the hash is computed once."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: dict[int, Fraction | int] = {}):
         clean: dict[int, Fraction] = {}
@@ -35,6 +36,7 @@ class BranchSeries:
             if q:
                 clean[e] = q
         self.coeffs = clean
+        self._hash: int | None = None
 
     def is_exact_zero(self) -> bool:
         return not self.coeffs
@@ -45,7 +47,9 @@ class BranchSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self.coeffs.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.coeffs:

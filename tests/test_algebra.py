@@ -2,6 +2,7 @@
 value tables and finite-field point counts, all against frozen corpus facts."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -885,3 +886,147 @@ def test_cut_table_matches_the_projection_rank(corpus):
                 with pytest.raises(SingvalError, match="exceeds the jet precision"):
                     space.dim_at_least(tuple(n + (i == 0) for i, n in enumerate(N)))
     assert checked > 4000
+
+
+# ------------------------------------------- integer rows vs the Fraction engine
+
+class ReferenceRowSpace:
+    """The Fraction row engine the integer rows replaced: reduced echelon
+    rows with pivot 1 over Q (ints mod p over GF(p)), reduced entry by entry."""
+
+    __slots__ = ("ncols", "p", "rows", "pivots")
+
+    def __init__(self, ncols, p=0):
+        self.ncols = ncols
+        self.p = p
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def residual(self, row):
+        p = self.p
+        v = list(row) if p else [Fraction(x) for x in row]
+        if len(v) != self.ncols:
+            raise SingvalError(f"row has {len(v)} entries, space has {self.ncols} columns")
+        for pc, r in zip(self.pivots, self.rows):
+            c = v[pc] % p if p else v[pc]
+            if c:
+                for j in range(pc, self.ncols):
+                    if r[j]:
+                        v[j] -= c * r[j]
+        return [x % p for x in v] if p else v
+
+    def contains(self, row):
+        return not any(self.residual(row))
+
+    def copy(self):
+        out = ReferenceRowSpace(self.ncols, self.p)
+        out.rows = [list(r) for r in self.rows]
+        out.pivots = list(self.pivots)
+        return out
+
+    def add(self, row):
+        v = self.residual(row)
+        pc = next((j for j, c in enumerate(v) if c), None)
+        if pc is None:
+            return False
+        p = self.p
+        inv = v[pc]
+        v = [c * pow(inv, -1, p) % p for c in v] if p else [c / inv for c in v]
+        for r in self.rows:
+            c = r[pc]
+            if c:
+                for j in range(pc, self.ncols):
+                    if v[j]:
+                        r[j] -= c * v[j]
+                if p:
+                    r[pc:] = [x % p for x in r[pc:]]
+        k = next((idx for idx, q in enumerate(self.pivots) if q > pc), len(self.pivots))
+        self.rows.insert(k, v)
+        self.pivots.insert(k, pc)
+        return True
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_rows_match_the_fraction_engine(data):
+    ncols = data.draw(st.integers(1, 7))
+    row = st.lists(st.one_of(st.just(Fraction(0)), small_fractions),
+                   min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, max_size=8))
+    order = data.draw(st.permutations(range(len(rows))))
+    queries = data.draw(st.lists(row, min_size=1, max_size=4))
+    ref = ReferenceRowSpace(ncols)
+    for r in rows:
+        ref.add(r)
+    for inserted in (rows, [rows[k] for k in order]):
+        sp = RowSpaceQ(ncols)
+        grew = [sp.add(r) for r in inserted]
+        assert sum(grew) == sp.rank == ref.rank
+        assert sp.pivots == ref.pivots
+        for pc, r, want in zip(sp.pivots, sp.rows, ref.rows):
+            assert all(type(x) is int for x in r)
+            assert r[pc] > 0 and math.gcd(*r) == 1
+            assert [Fraction(x, r[pc]) for x in r] == want
+        for q in queries + inserted:
+            assert sp.contains(q) == ref.contains(q)
+            assert sp.residual(q) == ref.residual(q)
+
+
+def _unit_row(layout, i, e):
+    row = [0] * layout.ncols
+    row[layout.offsets[i] + e] = 1
+    return row
+
+
+def test_unit_lookup_matches_containment(curves):
+    checked = 0
+    for name, curve in curves.items():
+        for b in (ring_ideal(curve), max_ideal(curve), normalization_ideal(curve)):
+            cond = _gen_conductor(b)
+            for p in (0, 2, 3, 5):
+                for N in ((1,) * curve.r, tuple(max(c, 1) for c in cond),
+                          tuple(c + z + 1 for c, z in zip(cond, curve.z0_order))):
+                    space = JetSpace(curve, b.gens, N, p)
+                    for i, n in enumerate(N):
+                        for e in range(n):
+                            want = space.space.contains(_unit_row(space.layout, i, e))
+                            assert space.has_unit(i, e) == want, (name, p, N, i, e)
+                            checked += 1
+    assert checked > 500
+
+
+def _colon_results(monkeypatch, argv):
+    """Each colon computed by main(argv), with its result."""
+    results = []
+    real = algebra._colon
+
+    def record(a, b):
+        out = real(a, b)
+        results.append(((a.gens, a.shift, b.gens, b.shift), (out.gens, out.shift)))
+        return out
+
+    monkeypatch.setattr(algebra, "_colon", record)
+    main(argv)
+    monkeypatch.undo()
+    return results
+
+
+def test_colons_match_the_fraction_engine(monkeypatch, capsys):
+    checked = 0
+    for name in ["cusp", "e8", "semigroup345", "node", "tacnode"]:
+        argv = ["verify", str(CORPUS / f"{name}.json"), "--all-ideals"]
+        got = _colon_results(monkeypatch, argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(algebra, "RowSpaceQ", ReferenceRowSpace)
+        want = _colon_results(monkeypatch, argv)
+        assert capsys.readouterr().out == out
+        assert got == want, name
+        checked += len(got)
+    assert checked > 40

@@ -1,5 +1,7 @@
 """Command-line entry points: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ import time
 
 import pytest
 
-from singval import algebra
-from singval.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from singval import algebra, cli
+from singval.cli import (COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY,
+                         _build_parser, main)
 from singval.valuemodule import ValueModule
 
 from conftest import CORPUS, ROOT
@@ -328,6 +331,45 @@ def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
     code, _, err = run(capsys, "info", path)
     assert code == EXIT_RESOURCE
     assert "climb ceiling of 128" in err
+
+
+# ----------------------------------------------------------------- the parser
+
+def parsed(parser, argv):
+    """(stdout, stderr, namespace or exit code) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return out.getvalue(), err.getvalue(), result
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(command):
+    # help, a missing file, a bad choice, an unknown option, a stray
+    # argument and a good command line, each with text and exit code
+    for argv in ([command, "--help"], [command], [command, "f.json", "--format", "xml"],
+                 [command, "f.json", "--bogus"], [command, "f.json", "extra"],
+                 [command, "f.json", "--q", "3", "--level", "2"]):
+        lazy, full = parsed(_build_parser(command), argv), parsed(_build_parser(), argv)
+        assert lazy == full, argv
+        assert lazy[2] in (0, 2) or lazy[2]["func"].__name__.endswith(
+            command.replace("-", "_")), argv
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only)
+                        or _build_parser(only))
+    assert run(capsys, "info", corpus_file("cusp"))[0] == EXIT_OK
+    for argv, stream in ((["--help"], "out"), (["bogus"], "err"), ([], "err")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = getattr(capsys.readouterr(), stream)
+        assert all(name in text for name in COMMANDS), argv
+    assert built == ["info", None, None, None]
 
 
 # ---------------------------------------------------------------- determinism
