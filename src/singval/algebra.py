@@ -14,7 +14,6 @@ for the counting oracle, the prime fields.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,18 +28,12 @@ from .curve import (
     Element,
     FracIdeal,
     common_shift,
-    el_add,
-    el_is_exact_zero,
-    el_mul,
     el_one,
-    el_scale,
     el_shift,
     el_unit_monomial,
-    el_zero,
     ideal_product,
     monomial_scale,
     ring_ideal,
-    value_of,
 )
 from .errors import (
     BadReduction,
@@ -57,8 +50,6 @@ _ZERO = Fraction(0)
 _denominator = attrgetter("denominator")
 # the conductor search climbs at most this far above the minimal orders
 CONDUCTOR_CLIMB = 128
-# pseudo-random transporter combinations tried by self_dual_direct
-DIRECT_PROBE_COMBOS = 8
 
 T = TypeVar("T")
 
@@ -616,65 +607,27 @@ def normalize_ideal(b: FracIdeal) -> FracIdeal:
     return monomial_scale(b, vec_neg(b.values_offset()))
 
 
-def self_dual_direct(
-    b: FracIdeal, canonical: FracIdeal, seed: int = 0
-) -> tuple[str, str]:
-    """Module-level self-duality probe: is the dual a monomial-unit multiple?
+def self_dual_direct(b: FracIdeal, canonical: FracIdeal) -> tuple[str, str]:
+    """Module-level self-duality: is b isomorphic to its dual b* = c : b?
 
-    Returns ("yes", why) with a certified multiplier, ("no", why) when an
-    invariant (normalized value set, conductor, or degree) separates b from
-    its dual, or ("undetermined", why) when the invariants agree but no
-    certificate was found among the transporter generators of value zero
-    and DIRECT_PROBE_COMBOS pseudo-random integer combinations of them.  The counting
-    criteria on the value module are the decision procedure of record; this
-    probe exists to cross-check them on concrete inputs.
+    Returns ("yes", why) or ("no", why), decided exactly.  After both are
+    normalized to minimal value zero, every x in T = b* : b has v(x) >= 0,
+    and an isomorphism is a multiplier in T of value zero.  A generic x in
+    T has value vmin(T) and deg(x b) = deg(b) - |v(x)|, so once the degrees
+    agree, b is isomorphic to b* exactly when vmin(T) = 0.  The value set
+    is coarser: equal normalized value sets do not force an isomorphism.
     """
-    bs = dual(b, canonical)
     bn = normalize_ideal(b)
-    sn = normalize_ideal(bs)
+    sn = normalize_ideal(dual(b, canonical))
     vb = value_set(bn)
     vs = value_set(sn)
     if vb.gamma != vs.gamma or vb.members != vs.members:
         return ("no", "normalized value sets differ")
     if vb.deg_offset != vs.deg_offset:
         return ("no", "normalized degrees differ")
-    trans = colon(sn, bn)
-    zero = (0,) * b.r
-    candidates = []
-    for g in trans.gens:
-        try:
-            if vec_sub(value_of(g), trans.shift) == zero:
-                candidates.append(g)
-        except SingvalError:
-            continue
-
-    def certifies(z: Element) -> bool:
-        prod = FracIdeal(
-            b.curve,
-            [el_mul(z, g) for g in bn.gens],
-            vec_add(bn.shift, trans.shift),
-        )
-        return module_equal(prod, sn)
-
-    for z in candidates:
-        if certifies(z):
-            return ("yes", "a transporter generator carries the module onto its dual")
-    rng = random.Random(seed)
-    combos = [tuple(1 for _ in trans.gens)]
-    combos += [tuple(rng.randint(0, 5) for _ in trans.gens) for _ in range(DIRECT_PROBE_COMBOS)]
-    for lam in combos:
-        z = el_zero(b.r)
-        for coeff, g in zip(lam, trans.gens):
-            if coeff:
-                z = el_add(z, el_scale(g, coeff))
-        if el_is_exact_zero(z):
-            continue
-        try:
-            if vec_sub(value_of(z), trans.shift) == zero and certifies(z):
-                return ("yes", "a transporter combination carries the module onto its dual")
-        except SingvalError:
-            continue
-    return ("undetermined", "value-set invariants agree but no multiplier was certified")
+    if any(colon(sn, bn).values_offset()):
+        return ("no", "no transporter of value zero")
+    return ("yes", "a transporter of value zero carries the module onto its dual")
 
 
 def verify_canonical(c: FracIdeal, family: Sequence[FracIdeal] | None = None) -> tuple[bool, list[str]]:

@@ -10,8 +10,8 @@ abstract value-module files):
 * ``count``       finite-field cylinder counts against the L = q prediction.
 
 Exit codes: 0 all pass, 1 verification failure, 2 input error, 3 resource
-ceiling.  Output is deterministic: fixed row order, fixed seed, sorted JSON
-keys, exact rational arithmetic throughout.
+ceiling.  Output is deterministic: fixed row order, sorted JSON keys, exact
+rational arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ def _self_dual_routes(
     vm: ValueModule,
     b: FracIdeal | None = None,
     canonical: FracIdeal | None = None,
-    seed: int = 0,
 ) -> tuple[list[tuple[str, bool]], tuple[str, str], bool]:
     """All self-duality verdicts plus their agreement.
 
-    The direct route participates in the agreement only when it reaches a
-    definite yes/no; "undetermined" and "skipped" are excluded.
+    The five value-set routes decide whether the value set is self-dual.
+    b isomorphic to b* implies that, but not conversely, so the direct
+    verdict joins the agreement when it says "yes" or when it says "no"
+    from differing value sets or degrees.  A "no" the value set cannot see
+    (no transporter of value zero) stays out, and so does "skipped".
     """
     routes = [
         ("counts", bool(vm.self_dual_by_counts())),
@@ -140,11 +142,11 @@ def _self_dual_routes(
         ("symmetry", bool(vm.is_symmetric())),
     ]
     if b is not None and canonical is not None:
-        direct = self_dual_direct(b, canonical, seed=seed)
+        direct = self_dual_direct(b, canonical)
     else:
         direct = ("skipped", "no canonical ideal available")
     verdicts = [v for _, v in routes]
-    if direct[0] in ("yes", "no"):
+    if direct[0] == "yes" or direct[1].startswith("normalized"):
         verdicts.append(direct[0] == "yes")
     return routes, direct, len(set(verdicts)) == 1
 
@@ -153,9 +155,8 @@ def _routes_check(
     vm: ValueModule,
     b: FracIdeal | None = None,
     canonical: FracIdeal | None = None,
-    seed: int = 0,
 ) -> Verdict:
-    routes, direct, agree = _self_dual_routes(vm, b, canonical, seed=seed)
+    routes, direct, agree = _self_dual_routes(vm, b, canonical)
     detail = " ".join(f"{n}={_yesno(v)}" for n, v in routes)
     return Verdict(agree, detail + f" direct={direct[0]}")
 
@@ -211,7 +212,7 @@ def cmd_ideal_info(args: argparse.Namespace, out: TextIO) -> int:
     canonical, cname = _resolve_canonical(ci, args.canonical)
     vm = value_set(b, margin=args.margin)
     rep = lengths_report(b, canonical)
-    routes, direct, agree = _self_dual_routes(vm, b, canonical, seed=args.seed)
+    routes, direct, agree = _self_dual_routes(vm, b, canonical)
     members = vm.members_sorted()
     obj = {
         "file": args.file,
@@ -393,7 +394,7 @@ def _verify_pair_rows(
 
 def _verify_ideal(
     rows: list[Row], ci: CurveInput, name: str,
-    canonical: FracIdeal | None, margin: int, seed: int,
+    canonical: FracIdeal | None, margin: int,
 ) -> None:
     b = _resolve_ideal(ci, name)
     try:
@@ -405,7 +406,7 @@ def _verify_ideal(
                  f"conductor {_fmt_vec(vm.gamma)}, {len(vm.members)} members"))
     _verify_module_rows(rows, name, vm, on_error="FAIL")
     _row(rows, f"{name}: self-duality routes agree",
-         lambda: _routes_check(vm, b, canonical, seed))
+         lambda: _routes_check(vm, b, canonical))
 
     if canonical is None:
         rows.append((f"{name}: duality checks", "SKIP", "no canonical ideal"))
@@ -467,7 +468,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         if args.all_ideals:
             targets += sorted(ci.ideals)
         for name in targets:
-            _verify_ideal(rows, ci, name, canonical, args.margin, args.seed)
+            _verify_ideal(rows, ci, name, canonical, args.margin)
 
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "DEFECT": 0}
     for _, status, _ in rows:
@@ -563,8 +564,6 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--ideal", default="ring", help='ideal name (default "ring")')
         sp.add_argument("--canonical", default=None,
                         help="override the file's canonical ideal reference")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for the direct self-duality probe (default 0)")
     if sp := command("series", cmd_series, "emit motivic series coefficient tables"):
         sp.add_argument("--ideal", default=None,
                         help='ideal name (default "ring"; concrete files only)')
@@ -577,8 +576,6 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
                         help="check every ideal in the file, not just the ring")
         sp.add_argument("--canonical", default=None,
                         help="override the file's canonical ideal reference")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for the direct self-duality probe (default 0)")
     if sp := command("count", cmd_count,
                      "finite-field cylinder counts vs the L = q prediction"):
         sp.add_argument("--q", type=int, required=True, help="prime field size")

@@ -65,18 +65,6 @@ def bs_monomial(e: int, c: Fraction | int = 1) -> BranchSeries:
     return BranchSeries({e: c})
 
 
-def bs_add(a: BranchSeries, b: BranchSeries) -> BranchSeries:
-    out = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        out[e] = out.get(e, _ZERO) + c
-    return BranchSeries(out)
-
-
-def bs_scale(a: BranchSeries, q: Fraction | int) -> BranchSeries:
-    q = Fraction(q)
-    return BranchSeries({e: c * q for e, c in a.coeffs.items()})
-
-
 def bs_mul(a: BranchSeries, b: BranchSeries) -> BranchSeries:
     out: dict[int, Fraction] = {}
     for ea, ca in a.coeffs.items():
@@ -105,10 +93,6 @@ def bs_coeff(a: BranchSeries, e: int) -> Fraction:
 Element = tuple[BranchSeries, ...]
 
 
-def el_zero(r: int) -> Element:
-    return (BS_ZERO,) * r
-
-
 def el_one(r: int) -> Element:
     return (BS_ONE,) * r
 
@@ -116,14 +100,6 @@ def el_one(r: int) -> Element:
 def el_unit_monomial(r: int, i: int, e: int, c: Fraction | int = 1) -> Element:
     """c * t^e on branch i, zero elsewhere."""
     return tuple(bs_monomial(e, c) if j == i else BS_ZERO for j in range(r))
-
-
-def el_add(a: Element, b: Element) -> Element:
-    return tuple(bs_add(x, y) for x, y in zip(a, b, strict=True))
-
-
-def el_scale(a: Element, q: Fraction | int) -> Element:
-    return tuple(bs_scale(x, q) for x in a)
 
 
 def el_mul(a: Element, b: Element) -> Element:
@@ -142,11 +118,6 @@ def el_trunc(a: Element, n: Vec) -> Element:
 
 def el_is_exact_zero(a: Element) -> bool:
     return all(x.is_exact_zero() for x in a)
-
-
-def value_of(a: Element) -> Vec:
-    """The order vector.  Raises ZeroDivisor on a zero component."""
-    return tuple(bs_order(x) for x in a)
 
 
 def el_min_orders(gens: Sequence[Element], r: int) -> Vec:

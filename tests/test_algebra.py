@@ -56,7 +56,7 @@ from singval.errors import (
     NotContained,
     SingvalError,
 )
-from singval.lattice import vec_check, vec_sub
+from singval.lattice import vec_add, vec_check, vec_sub
 from singval.schemas import load_input
 
 from conftest import CORPUS
@@ -471,9 +471,88 @@ def test_self_dual_direct_verdicts(corpus):
 def test_self_dual_direct_is_deterministic(corpus):
     ci = corpus["semigroup345"].curve_input
     can = ci.ideals["can"]
-    first = self_dual_direct(ring_ideal(ci.curve), can, seed=7)
-    second = self_dual_direct(ring_ideal(ci.curve), can, seed=7)
+    first = self_dual_direct(ring_ideal(ci.curve), can)
+    second = self_dual_direct(ring_ideal(ci.curve), can)
     assert first == second
+
+
+def test_self_dual_direct_is_finer_than_the_value_set():
+    # k[[t^6, t^7]] is Gorenstein, and b = O + O (t + t^2 + 2t^3 + t^4) has
+    # the normalized value set of its dual, but no transporter of value zero
+    curve = CurvePresentation(1, [(series((6, 1)),), (series((7, 1)),)])
+    b = FracIdeal(curve, [(series((0, 1)),), (series((1, 1), (2, 1), (3, 2), (4, 1)),)])
+    assert self_dual_direct(b, ring_ideal(curve)) == ("no", "no transporter of value zero")
+    vm = value_set(b)
+    assert vm.self_dual_by_counts() and vm.self_dual_by_counts_percoord()
+    assert vm.self_dual_by_lengths() and vm.self_dual_by_chain() and vm.is_symmetric()
+
+
+def _combine(lam, gens):
+    """The element sum of c * g over (c, g) in zip(lam, gens)."""
+    out = []
+    for i in range(len(gens[0])):
+        coeffs = {}
+        for c, g in zip(lam, gens):
+            for e, a in g[i].coeffs.items():
+                coeffs[e] = coeffs.get(e, 0) + c * a
+        out.append(BranchSeries(coeffs))
+    return tuple(out)
+
+
+def _value_zero_transporter(bn, sn, trans, rng):
+    """The search self_dual_direct once made: the generators of
+    trans = sn : bn, then integer combinations of them; the first x of value
+    zero with x * bn = sn, or None."""
+    candidates = list(trans.gens) + [_combine((1,) * len(trans.gens), trans.gens)]
+    candidates += [_combine([rng.randint(0, 5) for _ in trans.gens], trans.gens)
+                   for _ in range(40)]
+    for x in candidates:
+        if any(y.is_exact_zero() for y in x):
+            continue
+        if vec_sub(tuple(min(y.coeffs) for y in x), trans.shift) != (0,) * bn.r:
+            continue
+        prod = FracIdeal(bn.curve, [el_mul(x, g) for g in bn.gens],
+                         vec_add(bn.shift, trans.shift))
+        if module_equal(prod, sn):
+            return x
+    return None
+
+
+def _random_ideal(curve, rng):
+    """O-module on one or two random polynomial generators."""
+    while True:
+        gens = [tuple(BranchSeries({e: rng.randint(-2, 2) for e in range(rng.randint(0, 2), 6)})
+                      for _ in range(curve.r))
+                for _ in range(rng.randint(1, 2))]
+        try:
+            return FracIdeal(curve, gens)
+        except SingvalError:
+            continue
+
+
+def test_self_dual_direct_matches_the_transporter_search():
+    rng = random.Random(20261019)
+    curves = family_curves()
+    rings = {"t4_t9": CurvePresentation(1, [(series((4, 1)),), (series((9, 1)),)]),
+             "t5_t6": curves["t5_t6"], "A3": curves["A3"], "D4": triple_point(),
+             "t6_t7": CurvePresentation(1, [(series((6, 1)),), (series((7, 1)),)])}
+    seen = set()
+    for name, curve in rings.items():
+        canonical = ring_ideal(curve)  # every ring here is planar, so Gorenstein
+        for _ in range(4):
+            b = _random_ideal(curve, rng)
+            verdict, why = self_dual_direct(b, canonical)
+            seen.add(why)
+            bn = algebra.normalize_ideal(b)
+            sn = algebra.normalize_ideal(dual(b, canonical))
+            if verdict == "yes":
+                x = _value_zero_transporter(bn, sn, colon(sn, bn), rng)
+                assert x is not None, (name, b.gens)
+            elif why == "no transporter of value zero":
+                vb, vs = value_set(bn), value_set(sn)
+                assert (vb.gamma, vb.members) == (vs.gamma, vs.members), (name, b.gens)
+    # a "yes", and a "no" of each kind the value sets can and cannot see
+    assert len(seen) == 3 and "no transporter of value zero" in seen, seen
 
 
 # ------------------------------------------------------------- value tables

@@ -333,6 +333,35 @@ def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
     assert "climb ceiling of 128" in err
 
 
+def test_direct_no_stays_out_of_the_routes_agreement(capsys, tmp_path):
+    # k[[t^6, t^7]], b = O + O (t + t^2 + 2t^3 + t^4): the value set of b is
+    # self-dual, but b is not isomorphic to its dual, and the value-set
+    # routes cannot see that, so the row stays PASS
+    path = tmp_path / "t6_t7.json"
+    path.write_text(json.dumps({
+        "field": "rational", "branches": 1, "canonical": "ring",
+        "ring_generators": [[[[6, 1, 1]]], [[[7, 1, 1]]]],
+        "ideals": {"b": [[[[0, 1, 1]]], [[[1, 1, 1], [2, 1, 1], [3, 2, 1], [4, 1, 1]]]]},
+    }))
+    code, out, _ = run(capsys, "verify", str(path), "--all-ideals")
+    assert code == EXIT_OK
+    row = next(line for line in out.splitlines()
+               if line.startswith("b: self-duality routes agree"))
+    assert row.split()[4] == "PASS" and row.endswith(" direct=no"), row
+    code, out, _ = run(capsys, "ideal-info", str(path), "--ideal", "b")
+    assert code == EXIT_OK
+    assert "self-dual direct: no (no transporter of value zero)" in out
+    assert "routes agree: yes" in out
+
+
+@pytest.mark.parametrize("command", ["ideal-info", "verify"])
+def test_seed_is_not_an_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, corpus_file("cusp"), "--seed", "1"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- the parser
 
 def parsed(parser, argv):
