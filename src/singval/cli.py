@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence, TextIO
 
 from .algebra import (
@@ -295,17 +296,15 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     ]
     if args.q is not None:
         obj["q"] = args.q
-        obj["specialized"] = {
-            key: [[list(v), str(val)] for v, val in sorted(specialize(s, args.q).items())]
-            for key, s in built.items()
-        }
-    for key in which:
-        s = built[key]
+        obj["specialized"] = {}
+    for key, s in built.items():
         lines.append(f"series {key}:")
-        values = specialize(s, args.q) if args.q is not None else None
+        if args.q is not None:
+            values = {v: str(val) for v, val in specialize(s, args.q).items()}
+            obj["specialized"][key] = [[list(v), val] for v, val in sorted(values.items())]
         for v in w.points():
             row = f"  {_fmt_vec(v)}  {gc_to_text(s.coeff(v))}"
-            if values is not None:
+            if args.q is not None:
                 row += f"  (at q={args.q}: {values[v]})"
             lines.append(row)
     _emit(out, args.format, lines, obj)
@@ -345,15 +344,14 @@ def _verify_module_rows(
     rows: list[Row], label: str, vm: ValueModule, on_error: str
 ) -> None:
     """The checks that need nothing beyond the value module itself."""
-    _row(rows, f"{label}: cell/poincare bridge",
-         lambda: verify_cell_poincare_bridge(vm), on_error=on_error)
-    _row(rows, f"{label}: projective affine bridge",
-         lambda: verify_proj_affine_bridge(vm), on_error=on_error)
-    _row(rows, f"{label}: projective support",
-         lambda: verify_proj_support(vm), on_error=on_error)
-    _row(rows, f"{label}: display bridge (projective)",
-         lambda: verify_proj_bridge_display(vm),
-         defect_when_false=vm.r >= 2, on_error=on_error)
+    for check, verify, defect in [
+        ("cell/poincare bridge", verify_cell_poincare_bridge, False),
+        ("projective affine bridge", verify_proj_affine_bridge, False),
+        ("projective support", verify_proj_support, False),
+        ("display bridge (projective)", verify_proj_bridge_display, vm.r >= 2),
+    ]:
+        _row(rows, f"{label}: {check}", lambda: verify(vm),
+             defect_when_false=defect, on_error=on_error)
     try:
         applicable = (ring_like(vm) and bool(vm.self_dual_by_lengths())
                       and all(g >= 1 for g in vm.gamma))
@@ -374,22 +372,19 @@ def _verify_pair_rows(
     dual_label: str, on_error: str,
 ) -> None:
     """The checks that pair a module with its dual."""
-    _row(rows, f"{label}: degree duality ({dual_label})",
-         lambda: verify_degree_duality(vm, vm_star), on_error=on_error)
-    _row(rows, f"{label}: degree duality, reversed ({dual_label})",
-         lambda: verify_degree_duality(vm_star, vm), on_error=on_error)
-    _row(rows, f"{label}: cell functional equation ({dual_label})",
-         lambda: verify_cell_functional_equation(vm, vm_star), on_error=on_error)
-    _row(rows, f"{label}: poincare functional equation ({dual_label})",
-         lambda: verify_poincare_functional_equation(vm, vm_star), on_error=on_error)
-    _row(rows, f"{label}: jump duality ({dual_label})",
-         lambda: verify_jump_duality(vm, vm_star), on_error=on_error)
-    _row(rows, f"{label}: projective functional equation, cells ({dual_label})",
-         lambda: verify_proj_functional_equation(vm, vm_star, part="cells"),
-         on_error=on_error)
-    _row(rows, f"{label}: projective functional equation, poincare ({dual_label})",
-         lambda: verify_proj_functional_equation(vm, vm_star, part="poincare"),
-         defect_when_false=vm.r >= 2, on_error=on_error)
+    proj = verify_proj_functional_equation
+    for check, verify, defect in [
+        ("degree duality", verify_degree_duality, False),
+        ("degree duality, reversed", lambda a, b: verify_degree_duality(b, a), False),
+        ("cell functional equation", verify_cell_functional_equation, False),
+        ("poincare functional equation", verify_poincare_functional_equation, False),
+        ("jump duality", verify_jump_duality, False),
+        ("projective functional equation, cells", partial(proj, part="cells"), False),
+        ("projective functional equation, poincare", partial(proj, part="poincare"),
+         vm.r >= 2),
+    ]:
+        _row(rows, f"{label}: {check} ({dual_label})", lambda: verify(vm, vm_star),
+             defect_when_false=defect, on_error=on_error)
 
 
 def _verify_ideal(
@@ -496,11 +491,12 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     curve = load_input(args.file, concrete=True).curve_input.curve
+    # a bad reduction or an oversized enumeration refuses before any series
+    rank = jet_rank_mod_q(curve, args.q, args.level)
+    counts = order_counts_mod_q(curve, args.q, args.level, ceiling=args.ceiling)
     vm = value_set(ring_ideal(curve), margin=args.margin)
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
     pg = series_poincare(vm, w)
-    rank = jet_rank_mod_q(curve, args.q, args.level)
-    counts = order_counts_mod_q(curve, args.q, args.level, ceiling=args.ceiling)
     scale = Fraction(args.q) ** rank
     table = []
     all_ok = True

@@ -8,6 +8,7 @@ result is still fully determined, and comparisons demand full coverage.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import EmptyResultWindow, SingvalError, WindowNotCovered
@@ -62,19 +63,7 @@ def iter_box(lo: Vec, hi: Vec) -> Iterator[Vec]:
     """All lattice points of [lo, hi], lexicographic order. Empty if any hi < lo."""
     if len(lo) != len(hi):
         raise SingvalError("box corners have different dimensions")
-    if any(h < l for l, h in zip(lo, hi)):
-        return
-    cur = list(lo)
-    while True:
-        yield tuple(cur)
-        for i in range(len(cur) - 1, -1, -1):
-            if cur[i] < hi[i]:
-                cur[i] += 1
-                for j in range(i + 1, len(cur)):
-                    cur[j] = lo[j]
-                break
-        else:
-            return
+    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
 class Window:

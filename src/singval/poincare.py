@@ -10,11 +10,11 @@ Five series are built from a ValueModule's degree and jump data:
 
 The verify_* functions re-check the structural identities tying the series
 to each other and to a dual module, each as an exact coefficient-by-
-coefficient comparison on an explicit window.  They report a Verdict; they
-never assume an identity to build data.  Two display-shaped identities are
-known to fail (see the README's deviations table): the projectivized bridge
-in verify_proj_bridge_display, and the constancy clause of the projectivized
-Poincare functional equation for two or more branches.
+coefficient comparison on the one window [-2, gamma + 2].  They report a
+Verdict; they never assume an identity to build data.  Two display-shaped
+identities are known to fail (see the README's deviations table): the
+projectivized bridge in verify_proj_bridge_display, and the constancy clause
+of the projectivized Poincare functional equation for two or more branches.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .errors import SingvalError, WindowNotCovered
+from .errors import SingvalError
 from .lattice import (
     Vec,
     Window,
@@ -155,18 +155,13 @@ def default_window(vm: ValueModule, pad: int = 2) -> Window:
     return Window(ones(vm.r, -pad), vec_add(vm.gamma, ones(vm.r, pad)))
 
 
-def _resolve_window(vm: ValueModule, w: Window | None) -> Window:
-    if w is None:
-        w = default_window(vm)
-    if w.r != vm.r:
-        raise SingvalError(f"window rank {w.r} does not match the module rank {vm.r}")
-    for i in range(vm.r):
-        pts = w.hi[i] - w.lo[i] + 1
-        if pts < vm.gamma[i] + 3:
-            raise WindowNotCovered(
-                f"axis {i} has {pts} points, the check needs at least {vm.gamma[i] + 3}; "
-                "enlarge the window")
-    return w
+def _boxes(vm: ValueModule) -> tuple[Window, Window]:
+    """The window w = [-2, gamma + 2] every identity is checked on, and the
+    box [-3, gamma + 2] its operands are built on: one point lower on every
+    axis, the reach of a multiplier with support in {0, 1}^r.  Both boxes
+    are their own reflections through gamma and gamma - 1 respectively."""
+    w = default_window(vm)
+    return w, Window(vec_sub(w.lo, ones(vm.r)), w.hi)
 
 
 def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
@@ -206,18 +201,29 @@ def _series_agree(w: Window, lhs: WindowSeries, rhs: WindowSeries,
     return Verdict(False, fails.format(v=v), witness=(v, lhs.coeff(v), rhs.coeff(v)))
 
 
-def _constant(w: Window, residual: Callable[[Vec], GrothendieckClass],
-              holds: str, fails: str) -> Verdict:
-    """Is residual the same class at every point of w?  The witness pairs
-    the first differing value with the value at the first point."""
-    first = residual(w.lo)
-    return _agree(w, residual, lambda v: first, holds, fails)
+def _reflected_agree(
+    build: Callable[[ValueModule, Window], WindowSeries],
+    vm_b: ValueModule, vm_bstar: ValueModule,
+    left: dict[Vec, GrothendieckClass], right: dict[Vec, GrothendieckClass],
+    k: int, holds: str, fails: str,
+) -> Verdict:
+    """left * S_b(L o t) == L^k t^(gamma - 1) * right * S_bstar(1/t) on the
+    window, with S = build and both series built on the padded box."""
+    w, pad = _boxes(vm_b)
+    r = vm_b.r
+    lhs = ws_mul_poly(ws_scale_vars(build(vm_b, pad), ones(r)), left)
+    rhs = ws_mul_monomial(
+        ws_mul_poly(ws_invert_vars(build(vm_bstar, pad)), right),
+        vec_sub(vm_b.gamma, ones(r)),
+        gc_monomial(k),
+    )
+    return _series_agree(w, lhs, rhs, holds, fails)
 
 
 # -- identity checks -----------------------------------------------------------
 
 
-def verify_cell_poincare_bridge(vm: ValueModule, w: Window | None = None) -> Verdict:
+def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     """Cross-multiplied bridge between the cell series and the Poincare
     series: prod(t_i - 1) * cells == (t_1...t_r - 1) * (L - 1) * poincare.
 
@@ -225,8 +231,7 @@ def verify_cell_poincare_bridge(vm: ValueModule, w: Window | None = None) -> Ver
     its coefficients carry; without it the two sides differ already for one
     branch.
     """
-    w = _resolve_window(vm, w)
-    pad = Window(vec_sub(w.lo, ones(vm.r)), w.hi)
+    w, pad = _boxes(vm)
     lhs = ws_mul_poly(series_cells(vm, pad), poly_prod_t_minus_one(vm.r))
     rhs = ws_mul_poly(
         ws_scale_class(series_poincare(vm, pad), GC_L_MINUS_1),
@@ -235,9 +240,7 @@ def verify_cell_poincare_bridge(vm: ValueModule, w: Window | None = None) -> Ver
     return _series_agree(w, lhs, rhs, f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
 
 
-def verify_degree_duality(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
-) -> Verdict:
+def verify_degree_duality(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
     """Degree pairing between a module and its dual:
 
         v . d + deg_J_b(v) == ell_b(gamma) + deg_J_bstar(gamma - v)
@@ -245,14 +248,12 @@ def verify_degree_duality(
     for every v in the window, with gamma the (shared) conductor.  Needs
     both deg offsets on the same degree scale, which value_set provides.
     """
-    bad_pair = _pair_check(vm_b, vm_bstar)
-    if bad_pair is not None:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = _resolve_window(vm_b, w)
     gamma = vm_b.gamma
     m = vm_b.ell(gamma)
     return _agree(
-        w,
+        default_window(vm_b),
         lambda v: sum(v) + vm_b.deg_J(v),
         lambda v: m + vm_bstar.deg_J(vec_sub(gamma, v)),
         f"degree pairing holds with constant {m}",
@@ -260,9 +261,7 @@ def verify_degree_duality(
     )
 
 
-def verify_cell_functional_equation(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
-) -> Verdict:
+def verify_cell_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
     """Functional equation for the cell series under t_i -> L t_i.
 
     Checked twice: once at the degree-series level,
@@ -276,43 +275,27 @@ def verify_cell_functional_equation(
 
     where m = ell_b(gamma) and d = r is the total residue degree.
     """
-    bad_pair = _pair_check(vm_b, vm_bstar)
-    if bad_pair is not None:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = _resolve_window(vm_b, w)
+    w = default_window(vm_b)
     r = vm_b.r
-    gamma = vm_b.gamma
     d = r
-    m = vm_b.ell(gamma)
-
-    lhs_a = ws_scale_vars(series_degrees(vm_b, w), ones(r))
-    refl = Window(vec_sub(gamma, w.hi), vec_sub(gamma, w.lo))
-    rhs_a = ws_mul_monomial(
-        ws_invert_vars(series_degrees(vm_bstar, refl)), gamma, gc_monomial(m)
-    )
+    m = vm_b.ell(vm_b.gamma)
+    lhs = ws_scale_vars(series_degrees(vm_b, w), ones(r))
+    rhs = ws_mul_monomial(ws_invert_vars(series_degrees(vm_bstar, w)), vm_b.gamma,
+                          gc_monomial(m))
     holds = f"both forms hold with factor exponent {m} - {d}"
-    verdict = _series_agree(w, lhs_a, rhs_a, holds, "degree-series form fails at {v}")
+    verdict = _series_agree(w, lhs, rhs, holds, "degree-series form fails at {v}")
     if not verdict:
         return verdict
-
-    pad = Window(vec_sub(w.lo, ones(r)), w.hi)
-    minus_full = {ones(r, 0): GC_ONE, ones(r): gc_int(-1)}
-    lhs_c = ws_mul_poly(ws_scale_vars(series_cells(vm_b, pad), ones(r)), minus_full)
-    refl_pad = Window(vec_sub(vec_sub(gamma, ones(r)), w.hi), vec_sub(gamma, w.lo))
-    rhs_c = ws_mul_poly(
-        ws_mul_monomial(
-            ws_invert_vars(series_cells(vm_bstar, refl_pad)),
-            vec_sub(gamma, ones(r)),
-            gc_monomial(m - d),
-        ),
-        poly_weighted_shift_minus_one(r, d),
+    return _reflected_agree(
+        series_cells, vm_b, vm_bstar,
+        {ones(r, 0): GC_ONE, ones(r): gc_int(-1)}, poly_weighted_shift_minus_one(r, d),
+        m - d, holds, "cell-series form fails at {v}",
     )
-    return _series_agree(w, lhs_c, rhs_c, holds, "cell-series form fails at {v}")
 
 
-def verify_poincare_functional_equation(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
-) -> Verdict:
+def verify_poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
     """Functional equation for the Poincare series, cross-multiplied:
 
         prod(t_i - 1) * poincare_b(L^d o t)
@@ -321,31 +304,18 @@ def verify_poincare_functional_equation(
     When the module is ring-like and length-wise self-dual the factor
     exponent m - d coincides with delta - d (checked as a side assertion).
     """
-    bad_pair = _pair_check(vm_b, vm_bstar)
-    if bad_pair is not None:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = _resolve_window(vm_b, w)
     r = vm_b.r
     gamma = vm_b.gamma
     d = r
     m = vm_b.ell(gamma)
-
-    pad = Window(vec_sub(w.lo, ones(r)), w.hi)
-    lhs = ws_mul_poly(
-        ws_scale_vars(series_poincare(vm_b, pad), ones(r)),
-        poly_prod_t_minus_one(r),
-    )
-    refl_pad = Window(vec_sub(vec_sub(gamma, ones(r)), w.hi), vec_sub(gamma, w.lo))
-    rhs = ws_mul_monomial(
-        ws_mul_poly(
-            ws_invert_vars(series_poincare(vm_bstar, refl_pad)),
-            poly_prod_one_minus_L_t(r),
-        ),
-        vec_sub(gamma, ones(r)),
-        gc_monomial(m - d),
-    )
     detail = f"holds with factor exponent {m - d}"
-    verdict = _series_agree(w, lhs, rhs, detail, "functional equation fails at {v}")
+    verdict = _reflected_agree(
+        series_poincare, vm_b, vm_bstar,
+        poly_prod_t_minus_one(r), poly_prod_one_minus_L_t(r),
+        m - d, detail, "functional equation fails at {v}",
+    )
     if not verdict:
         return verdict
     if ring_like(vm_b) and vm_b.self_dual_by_lengths():
@@ -360,9 +330,7 @@ def verify_poincare_functional_equation(
     return Verdict(True, detail)
 
 
-def verify_jump_duality(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None
-) -> Verdict:
+def verify_jump_duality(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
     """Jump counts of the dual from the module itself:
 
         c_bstar(v) == d - c_b(gamma - v - 1)   (total), and
@@ -370,10 +338,9 @@ def verify_jump_duality(
 
     The total form is checked on the whole window first, then each axis.
     """
-    bad_pair = _pair_check(vm_b, vm_bstar)
-    if bad_pair is not None:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = _resolve_window(vm_b, w)
+    w = default_window(vm_b)
     d = vm_b.r
     verdict = _agree(
         w,
@@ -383,19 +350,18 @@ def verify_jump_duality(
         "total jump duality fails at {v}",
     )
     for i in range(vm_b.r):
-        if verdict:
-            verdict = _agree(
-                w,
-                lambda v: vm_bstar.c_partial(v, i),
-                lambda v: 1 - vm_b.mirror(v, i)[1],
-                verdict.detail,
-                f"axis {i} jump duality fails at {{v}}",
-            )
+        verdict = verdict and _agree(
+            w,
+            lambda v: vm_bstar.c_partial(v, i),
+            lambda v: 1 - vm_b.mirror(v, i)[1],
+            verdict.detail,
+            f"axis {i} jump duality fails at {{v}}",
+        )
     return verdict
 
 
 def verify_proj_functional_equation(
-    vm_b: ValueModule, vm_bstar: ValueModule, w: Window | None = None, *, part: str,
+    vm_b: ValueModule, vm_bstar: ValueModule, *, part: str,
 ) -> Verdict:
     """Functional equation for the projectivized series under L -> 1/L.
 
@@ -415,29 +381,28 @@ def verify_proj_functional_equation(
     """
     if part not in ("cells", "poincare"):
         raise SingvalError(f"unknown part {part!r}")
-    bad_pair = _pair_check(vm_b, vm_bstar)
-    if bad_pair is not None:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = _resolve_window(vm_b, w)
+    w, pad = _boxes(vm_b)
     r = vm_b.r
     d = r
     base = vec_sub(vm_b.gamma, ones(r))
-    reflected = Window(vec_sub(base, w.hi), vec_sub(base, w.lo))
     build = series_proj_cells if part == "cells" else series_proj_poincare
     factor = gc_monomial(d - 1, 1 if part == "cells" else -((-1) ** r))
-    ser_b = build(vm_b, reflected)
+    ser_b = build(vm_b, Window(pad.lo, vec_sub(w.hi, ones(r))))  # base - w
     ser_s = build(vm_bstar, w)
 
     def residual(v: Vec) -> GrothendieckClass:
         return gc_add(ser_b.coeff(vec_sub(base, v)),
                       gc_mul(factor, gc_invert_L(ser_s.coeff(v))))
 
-    if part == "poincare":
-        return _constant(w, residual, "poincare residual constant",
-                         "poincare residual is not constant at {v}")
-    verdict = _constant(w, residual, "cell residual constant and equal to (L^d - 1)/(L - 1)",
-                        "cell residual is not constant at {v}")
     first = residual(w.lo)
+    if part == "poincare":
+        return _agree(w, residual, lambda v: first, "poincare residual constant",
+                      "poincare residual is not constant at {v}")
+    verdict = _agree(w, residual, lambda v: first,
+                     "cell residual constant and equal to (L^d - 1)/(L - 1)",
+                     "cell residual is not constant at {v}")
     if verdict and first != _proj_class(d):
         return Verdict(
             False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
@@ -445,24 +410,23 @@ def verify_proj_functional_equation(
     return verdict
 
 
-def verify_proj_bridge_display(vm: ValueModule, w: Window | None = None) -> Verdict:
+def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     """Display-shaped bridge (t_1...t_r - 1) * proj_poincare == prod(t_i - 1)
     * proj_cells.  True for one branch; fails for two or more (a known
     defect of the display; kept verbatim and reported, never used)."""
-    w = _resolve_window(vm, w)
-    pad = Window(vec_sub(w.lo, ones(vm.r)), w.hi)
+    w, pad = _boxes(vm)
     lhs = ws_mul_poly(series_proj_poincare(vm, pad), poly_full_shift_minus_one(vm.r))
     rhs = ws_mul_poly(series_proj_cells(vm, pad), poly_prod_t_minus_one(vm.r))
     return _series_agree(w, lhs, rhs, f"display bridge holds on {w.lo}..{w.hi}",
                          "display bridge mismatch")
 
 
-def verify_proj_affine_bridge(vm: ValueModule, w: Window | None = None) -> Verdict:
+def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
     """Pointwise bridge that does hold for every branch count:
 
         proj_poincare(v) * L^(deg_J(v + 1)) == poincare(v).
     """
-    w = _resolve_window(vm, w)
+    w = default_window(vm)
     one = ones(vm.r)
     ph = series_proj_poincare(vm, w)
     pg = series_poincare(vm, w)
@@ -475,14 +439,17 @@ def verify_proj_affine_bridge(vm: ValueModule, w: Window | None = None) -> Verdi
     )
 
 
-def verify_proj_support(vm: ValueModule, w: Window | None = None) -> Verdict:
+def verify_proj_support(vm: ValueModule) -> Verdict:
     """Nonzero projectivized Poincare coefficients only over members."""
-    w = _resolve_window(vm, w)
+    w = default_window(vm)
     ph = series_proj_poincare(vm, w)
-    for v in w.points():
-        if not ph.coeff(v).is_zero() and not vm.member(v):
-            return Verdict(False, f"nonzero coefficient over a non-member {v}", witness=(v,))
-    return Verdict(True, "support contained in the value set")
+    return _agree(
+        w,
+        ph.coeff,
+        lambda v: ph.coeff(v) if vm.member(v) else GC_ZERO,
+        "support contained in the value set",
+        "nonzero coefficient over a non-member {v}",
+    )
 
 
 def verify_gorenstein_tail_identity(vm: ValueModule) -> Verdict:

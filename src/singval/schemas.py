@@ -19,7 +19,8 @@ the curve and gives the value module directly:
     { "mode": "value-module", "r": 1, "gamma": [2], "members": [[0], [2]],
       "deg_offset": 0, "ambient": { ... } }
 
-Parse errors carry the JSON path of the offending field.
+Parse errors carry the JSON path of the offending field.  The formats are
+read only; nothing writes them back.
 """
 
 from __future__ import annotations
@@ -181,39 +182,3 @@ def load_input(path: str | Path, concrete: bool = False) -> InputBundle:
                           "got an abstract value-module file")
     return parse_input(data)
 
-
-# -- serialization (round-trip support) ----------------------------------------
-
-
-def series_to_json(s: BranchSeries) -> list[list[int]]:
-    return [[e, c.numerator, c.denominator] for e, c in sorted(s.coeffs.items())]
-
-
-def generator_to_json(g: Element) -> list[list[list[int]]]:
-    return [series_to_json(x) for x in g]
-
-
-def curve_input_to_json(ci: CurveInput) -> dict:
-    out: dict = {
-        "field": "rational",
-        "branches": ci.curve.r,
-        "ring_generators": [generator_to_json(g) for g in ci.curve.gens],
-        "ideals": {name: [generator_to_json(g) for g in ideal.gens]
-                   for name, ideal in sorted(ci.ideals.items())},
-    }
-    if ci.canonical is not None:
-        out["canonical"] = ci.canonical
-    return out
-
-
-def value_module_to_json(vm: ValueModule) -> dict:
-    out: dict = {
-        "mode": "value-module",
-        "r": vm.r,
-        "gamma": list(vm.gamma),
-        "members": [list(v) for v in vm.members_sorted()],
-        "deg_offset": vm.deg_offset,
-    }
-    if vm.ambient is not None:
-        out["ambient"] = value_module_to_json(vm.ambient)
-    return out

@@ -210,6 +210,16 @@ def test_enumeration_ceiling_is_resource_error(capsys):
     assert "ceiling" in err or "enumerat" in err.lower()
 
 
+def test_oversized_enumeration_is_refused_before_the_series(capsys):
+    # the span has rank 801; the Poincare series on [0, 399]^2 alone takes
+    # over a minute, so the ceiling check has to come first
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", corpus_file("node"), "--q", "2", "--level", "400")
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_RESOURCE
+    assert "2^801 vectors exceed the enumeration ceiling 16777216" in err
+
+
 def test_field_above_the_ceiling_is_refused_before_the_prime_check(capsys):
     # 10^18 + 3 is prime, so trial division would run to 10^9; the span
     # holds the constants, so it has at least q elements anyway

@@ -24,6 +24,8 @@ def test_iter_box_lex_order():
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert list(iter_box((2,), (1,))) == []
     assert list(iter_box((3,), (3,))) == [(3,)]
+    with pytest.raises(SingvalError):
+        iter_box((0, 0), (1,))
 
 
 def test_window_validation():

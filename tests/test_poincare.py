@@ -7,9 +7,9 @@ import pytest
 
 from singval.algebra import dual, ring_ideal, value_set
 from singval.curve import BranchSeries, CurvePresentation
-from singval.errors import SingvalError, WindowNotCovered
+from singval.errors import SingvalError
 from singval.lattice import Window, ws_build, ws_eq_on, ws_mul_poly, ws_scale_class
-from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial
+from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
     default_window,
@@ -110,16 +110,6 @@ def test_default_window_pads_the_conductor(ring_vms):
     assert w.hi == (4, 4)
 
 
-def test_window_too_small_is_rejected(ring_vms):
-    with pytest.raises(WindowNotCovered):
-        verify_cell_poincare_bridge(ring_vms["cusp"], Window((0,), (3,)))
-
-
-def test_window_rank_mismatch(ring_vms):
-    with pytest.raises(SingvalError):
-        verify_cell_poincare_bridge(ring_vms["cusp"], Window((0, 0), (6, 6)))
-
-
 def test_pair_check_gamma_mismatch(ring_vms):
     bad = verify_degree_duality(ring_vms["cusp"], ring_vms["e8"])
     assert not bad
@@ -192,6 +182,31 @@ def test_pair_checks_reject_a_wrong_dual(ring_vms):
     assert not proj
     assert proj.detail == "cell residual is not constant at (1,)"
     assert proj.witness == ((1,), GC_ZERO, GC_ONE)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_ring_paired_with_itself_for_several_branches(ring_vms, r):
+    # the node (r = 2) and the ordinary triple point (r = 3) are Gorenstein:
+    # every pair check passes except the projectivized Poincare equation,
+    # whose first witness is pinned here along with the display bridge's
+    vm = ring_vms["node"] if r == 2 else value_set(ring_ideal(_ordinary_point(3)))
+    for verdict in [verify_degree_duality(vm, vm),
+                    verify_cell_functional_equation(vm, vm),
+                    verify_poincare_functional_equation(vm, vm),
+                    verify_jump_duality(vm, vm),
+                    verify_proj_functional_equation(vm, vm, part="cells")]:
+        assert verdict, verdict.detail
+    display = verify_proj_bridge_display(vm)
+    assert not display
+    assert display.detail == "display bridge mismatch"
+    assert display.witness == ((1,) * r, gc_add(gc_int(r), gc_monomial(1, -1)),
+                               gc_monomial(1, r - 1))
+    proj = verify_proj_functional_equation(vm, vm, part="poincare")
+    assert not proj
+    bad = (-2,) * (r - 1) + (0,)
+    assert proj.detail == f"poincare residual is not constant at {bad}"
+    rhs = GC_L_MINUS_1 if r == 2 else gc_mul(GC_L_MINUS_1, GC_L_MINUS_1)
+    assert proj.witness == (bad, GC_ZERO, rhs)
 
 
 def test_degree_duality_constant_is_the_first_arguments_length(corpus, ideal_vms):
@@ -309,6 +324,12 @@ def _series(*pairs):
     return BranchSeries(dict(pairs))
 
 
+def _ordinary_point(r):
+    """r lines y = s x with slopes 0, 1, ..., r - 1."""
+    return CurvePresentation(r, [tuple(_series((1, 1)) for _ in range(r)),
+                                 tuple(_series((1, s)) for s in range(r))])
+
+
 def _poincare_at_one(curve):
     """Nonzero coefficients of the ring's Poincare series at L = 1, on a
     window reaching gamma + 3."""
@@ -323,11 +344,9 @@ def _poincare_at_one(curve):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_ordinary_point_gives_the_alexander_polynomial(r):
-    # r lines y = s x with slopes 0, 1, ..., r - 1: (1 - t_1...t_r)^(r - 2)
-    curve = CurvePresentation(r, [tuple(_series((1, 1)) for _ in range(r)),
-                                  tuple(_series((1, s)) for s in range(r))])
+    # (1 - t_1...t_r)^(r - 2)
     want = {(k,) * r: (-1) ** k * comb(r - 2, k) for k in range(r - 1)}
-    assert _poincare_at_one(curve) == want
+    assert _poincare_at_one(_ordinary_point(r)) == want
 
 
 @pytest.mark.parametrize("k", [3, 4])
