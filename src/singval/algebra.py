@@ -50,6 +50,8 @@ _ZERO = Fraction(0)
 _denominator = attrgetter("denominator")
 # the conductor search climbs at most this far above the minimal orders
 CONDUCTOR_CLIMB = 128
+# the GF(p) oracle packs at most this many jets into one int
+_MAX_SLOTS = 1024
 
 T = TypeVar("T")
 
@@ -440,9 +442,11 @@ def _index(a: FracIdeal, b: FracIdeal) -> int:
 
     Past the larger certified conductor N both modules contain every
     element, so the difference of their jet ranks at N is the answer; it
-    is checked again two steps higher.
+    is checked again two steps higher.  Equal generators give 0 at once.
     """
     a2, b2 = common_shift(a, b)
+    if a2.gens == b2.gens:
+        return 0
     N = vec_max(vec_max(_gen_conductor(a2), _gen_conductor(b2)), (1,) * a.r)
     dim = jet_span(a2, N).rank - jet_span(b2, N).rank
     collar = tuple(n + 2 for n in N)
@@ -821,10 +825,11 @@ def order_counts_mod_q(
     checked against.  It shares the jet engine (JetSpace, over GF(p) here)
     with value_set; what stays independent is the use made of the span: this
     enumerates its elements, while value_set extracts jump dimensions from
-    ranks and the series are built from those.  The p^rank coefficient words
-    are walked once in p-ary Gray-code order: a counter steps its lowest
-    digit below p - 1, and the Gray word then changes in that one digit by
-    +1, so each element is the previous one plus one basis row.
+    ranks and the series are built from those.  Every one of the p^rank
+    coefficient words is formed and its orders are read from its own
+    coefficients, with no echelon structure and no cut table; the words are
+    only packed many to an int (_modp_order_histogram), so that one big-int
+    step forms or tests up to _MAX_SLOTS of them at once.
     """
     N = _modp_precision(curve, p, level)
     rows, layout = _modp_jet_basis(curve, p, N)
@@ -832,27 +837,87 @@ def order_counts_mod_q(
     if p ** rank > ceiling:
         raise EnumerationTooLarge(
             f"{p}^{rank} vectors exceed the enumeration ceiling {ceiling}")
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    spans = [(base, base + n) for base, n in zip(layout.offsets, N)]
-    vec = [0] * layout.ncols
-    counter = [0] * rank
-    counts = {N: 1}
-    for _ in range(p ** rank - 1):
-        k = 0
-        while counter[k] == p - 1:
-            counter[k] = 0
-            k += 1
-        counter[k] += 1
-        for j, x in sparse[k]:
-            vec[j] = (vec[j] + x) % p
-        orders = []
-        for lo, hi in spans:
-            j = lo
-            while j < hi and not vec[j]:
-                j += 1
-            orders.append(j - lo)
-        key = tuple(orders)
-        counts[key] = counts.get(key, 0) + 1
+    return _modp_order_histogram(rows, layout, p)
+
+
+def _modp_order_histogram(rows: list[list[int]], layout: JetLayout, p: int) -> dict[Vec, int]:
+    """Exact order vectors of all p^rank combinations of rows (ints in [0, p)),
+    counted.
+
+    Bit-sliced: a jet is a slot of ncols lanes of w bits, and one big-int
+    operation acts on every slot of a word.  A word holds, side by side,
+    all p^m values of the lowest m digits of the coefficient word and k < p
+    values of digit m, at most _MAX_SLOTS slots, built by repeated doubling.
+    Digit m then sweeps its p values k at a time, and the digits above it
+    are walked in p-ary Gray-code order (a counter steps its lowest digit
+    below p - 1, and the Gray word then changes in that one digit by +1);
+    every step adds a multiple of one basis row to every slot.  Lanes add
+    mod p without carries between them: a sum s <= 2p - 2 fits in w bits,
+    and s >= p exactly when s + 2^(w-1) - p has the lane's top bit.  A
+    slot's order on branch i is its first lane of the branch with a nonzero
+    value, read off one slot mask per lane.
+    """
+    w = p.bit_length() + 1
+    width = layout.ncols * w
+    rank, m, n = len(rows), 0, 1
+    while m < rank and n * p <= _MAX_SLOTS:
+        m, n = m + 1, n * p
+    k, values = (_MAX_SLOTS // n, p) if m < rank else (1, 1)  # digit m, if any
+    full = (1 << width * n * k) - 1
+    ones, slots = full // ((1 << w) - 1), full // ((1 << width) - 1)  # 1 per lane, per slot
+    top = ones << (w - 1)
+    bias, fill = ((1 << w - 1) - p) * ones, top - ones
+    packed = [sum(x << w * j for j, x in enumerate(row)) for row in rows]
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + bias) & top) >> (w - 1)) * p
+
+    word, size = 0, 1
+    for row, radix in zip(packed, [p] * m + [k]):
+        step = row * (slots & ((1 << width * size) - 1))
+        block = word
+        for c in range(1, radix):
+            block = add(block, step)
+            word |= block << c * size * width
+        size *= radix
+    stride = sum((k * x % p) << w * j for j, x in enumerate(rows[m])) * slots if m < rank else 0
+    lanes = [[w * (base + e) + w - 1 for e in range(length)]
+             for base, length in zip(layout.offsets, layout.N)]
+    # the last sweep may run past p - 1, so it counts only the slots below p
+    last = slots & ((1 << width * n * (values - (values - 1) // k * k)) - 1)
+    counts: dict[Vec, int] = {}
+
+    def sweep(word: int) -> None:
+        for start in range(0, values, k):
+            live = last if start + k >= values else slots
+            nonzero = (word + fill) & top
+            joint = [((), live)]
+            for bits in lanes:
+                orders, unseen = [], live
+                for e, bit in enumerate(bits):
+                    if fresh := (nonzero >> bit) & unseen:
+                        orders.append((e, fresh))
+                        unseen ^= fresh
+                if unseen:
+                    orders.append((len(bits), unseen))
+                joint = [(key + (e,), both) for key, acc in joint for e, mask in orders
+                         if (both := acc & mask)]
+            for key, mask in joint:
+                counts[key] = counts.get(key, 0) + mask.bit_count()
+            word = add(word, stride)
+
+    sweep(word)
+    high = [row * slots for row in packed[m + 1:]]
+    counter = [0] * len(high)
+    for _ in range(p ** len(high) - 1):
+        d = 0
+        while counter[d] == p - 1:
+            counter[d] = 0
+            d += 1
+        counter[d] += 1
+        word = add(word, high[d])
+        sweep(word)
     return counts
 
 

@@ -662,6 +662,41 @@ def test_order_counts_match_the_naive_enumeration(curves):
     _check_against_naive(triple, 3, 2)
 
 
+def _naive_histogram(rows, layout, p):
+    """Row-level reference for the packed kernel: each combination of the
+    rows is formed on its own, one coefficient at a time."""
+    counts = {}
+    for combo in product(range(p), repeat=len(rows)):
+        vec = [sum(c * row[j] for c, row in zip(combo, rows)) % p for j in range(layout.ncols)]
+        key = tuple(next((e for e in range(n) if vec[base + e]), n)
+                    for base, n in zip(layout.offsets, layout.N))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("cap", ["1", "p/3", "p", "p^2", "default"])
+def test_packed_histogram_matches_the_row_level_reference(cap, monkeypatch):
+    # a cap of 1 packs one jet per word; p // 3 sweeps the lowest digit in
+    # three or four parts, the last one past p; p and p^2 pack whole digits
+    # and walk the rest; the default packs a small span whole, and splits a
+    # digit in two at p = 11 and at a p above the cap
+    default = algebra._MAX_SLOTS
+    rng = random.Random(f"histogram:{cap}")
+    for p in (2, 3, 5, 7, 11, 1031):
+        slots = {"1": 1, "p/3": max(1, p // 3), "p": p, "p^2": p * p}.get(cap, default)
+        monkeypatch.setattr(algebra, "_MAX_SLOTS", slots)
+        most = max(k for k in range(12) if p ** k <= 1400)
+        for r in (1, 2, 3):
+            for N, rank in [((1,) * r, most), (None, 0), (None, most), (None, rng.randint(1, most))]:
+                N = N or tuple(rng.randint(1, 4) for _ in range(r))
+                layout = JetLayout(N)
+                rows = [[rng.randrange(p) for _ in range(layout.ncols)] for _ in range(rank)]
+                got = algebra._modp_order_histogram(rows, layout, p)
+                assert sum(got.values()) == p ** rank
+                assert all(got.values())
+                assert got == _naive_histogram(rows, layout, p), (p, N, rank)
+
+
 def test_count_rejects_composite_modulus(curves):
     with pytest.raises(SingvalError):
         count_points_mod_q(curves["cusp"], 4, (0,), 3)

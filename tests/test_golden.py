@@ -30,6 +30,7 @@ MANIFEST = {
     "verify_abstract.txt": ["verify", "corpus/abstract_e8.json"],
     "count_cusp.txt": ["count", "corpus/cusp.json", "--q", "2", "--level", "4"],
     "count_node.txt": ["count", "corpus/node.json", "--q", "3", "--level", "3"],
+    "count_tacnode_q5_l3.txt": ["count", "corpus/tacnode.json", "--q", "5", "--level", "3"],
 }
 
 
