@@ -44,7 +44,7 @@ from .errors import (
     SingvalError,
 )
 from .lattice import Vec, vec_add, vec_check, vec_max, vec_neg, vec_sub
-from .valuemodule import ValueModule
+from .valuemodule import ValueModule, Verdict
 
 _ZERO = Fraction(0)
 _denominator = attrgetter("denominator")
@@ -433,10 +433,6 @@ def contains_module(a: FracIdeal, b: FracIdeal) -> bool:
     return all(space.contains_element(el_shift(g, d)) for g in b.gens)
 
 
-def module_equal(a: FracIdeal, b: FracIdeal) -> bool:
-    return contains_module(a, b) and contains_module(b, a)
-
-
 def _index(a: FracIdeal, b: FracIdeal) -> int:
     """Signed length l(a/c) - l(b/c), for any c inside both.
 
@@ -470,24 +466,6 @@ def degree(a: FracIdeal) -> int:
 
 
 # -- distinguished ideals -------------------------------------------------------
-
-
-def normalization_ideal(curve: CurvePresentation) -> FracIdeal:
-    """The full product of power series rings as a module over the curve:
-    generated by the monomial band below the distinguished nonzerodivisor."""
-    p = curve.z0_order
-    gens = [
-        el_unit_monomial(curve.r, i, e)
-        for i in range(curve.r)
-        for e in range(p[i])
-    ]
-    return FracIdeal(curve, gens)
-
-
-def monomial_ideal(curve: CurvePresentation, v: Vec) -> FracIdeal:
-    """The shifted full module t^v * (product of power series rings)."""
-    v = vec_check(v, curve.r)
-    return monomial_scale(normalization_ideal(curve), v)
 
 
 def max_ideal(curve: CurvePresentation) -> FracIdeal:
@@ -634,27 +612,18 @@ def self_dual_direct(b: FracIdeal, canonical: FracIdeal) -> tuple[str, str]:
     return ("yes", "a transporter of value zero carries the module onto its dual")
 
 
-def verify_canonical(c: FracIdeal, family: Sequence[FracIdeal] | None = None) -> tuple[bool, list[str]]:
-    """Check the defining property of a canonical ideal on a test family.
+def ideal_type(b: FracIdeal) -> int:
+    """The type of b: the length of (b : m)/b, the socle of Q/b."""
+    return dim_quotient(colon(b, max_ideal(b.curve)), b)
 
-    Requires double-colon stability c:(c:a) = a for every family member (c
-    always holds a nonzerodivisor: a generic combination of its generators
-    has order vmin(c) on every branch).  The default family is the ring,
-    the full module, and the shifted full modules with shifts in {0,1}^r.
-    """
-    curve = c.curve
-    if family is None:
-        family = [ring_ideal(curve), normalization_ideal(curve)] + [
-            monomial_ideal(curve, v)
-            for v in iter_product(range(2), repeat=curve.r)
-            if any(v)
-        ]
-    failures = []
-    for k, a in enumerate(family):
-        back = colon(c, colon(c, a))
-        if not module_equal(back, a):
-            failures.append(f"member {k}: double colon against the candidate does not return it")
-    return (not failures, failures)
+
+def verify_canonical(c: FracIdeal) -> Verdict:
+    """Is c a canonical ideal?  Exactly when its type is 1: a rank-one
+    maximal Cohen-Macaulay module of type 1 is canonical (Herzog-Kunz)."""
+    t = ideal_type(c)
+    if t == 1:
+        return Verdict(True, "type 1")
+    return Verdict(False, f"type {t}; a canonical ideal has type 1", witness=(t,))
 
 
 # -- value sets -----------------------------------------------------------------

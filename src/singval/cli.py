@@ -24,13 +24,11 @@ from functools import partial
 from typing import Callable, Sequence, TextIO
 
 from .algebra import (
-    colon,
-    dim_quotient,
     dual,
     gorenstein_by_lengths,
+    ideal_type,
     jet_rank_mod_q,
     lengths_report,
-    max_ideal,
     order_counts_mod_q,
     self_dual_direct,
     value_set,
@@ -172,7 +170,7 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     vm = value_set(ring, margin=args.margin)
     rep = lengths_report(ring)
     delta = rep.outside  # the length of ring * normalization over the ring
-    rho = dim_quotient(colon(ring, max_ideal(curve)), ring)
+    rho = ideal_type(ring)
     by_lengths = rep.doubled_equals_total
     by_symmetry = bool(vm.is_symmetric())
     members = vm.members_sorted()
@@ -452,13 +450,9 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         ci = bundle.curve_input
         canonical, cname = _resolve_canonical(ci, args.canonical)
         if canonical is not None:
-            def canonical_check():
-                ok, failures = verify_canonical(canonical)
-                return Verdict(ok, "; ".join(failures) if failures else
-                               "double-colon stability over the probe family")
-            _row(rows, f"canonical ({cname}): stability", canonical_check)
+            _row(rows, f"canonical ({cname}): type", lambda: verify_canonical(canonical))
         else:
-            rows.append(("canonical: stability", "SKIP", "no canonical ideal"))
+            rows.append(("canonical: type", "SKIP", "no canonical ideal"))
         targets = ["ring"]
         if args.all_ideals:
             targets += sorted(ci.ideals)

@@ -250,11 +250,6 @@ def common_shift(a: FracIdeal, b: FracIdeal) -> tuple[FracIdeal, FracIdeal]:
     return a.rebase(s), b.rebase(s)
 
 
-def ideal_sum(a: FracIdeal, b: FracIdeal) -> FracIdeal:
-    a2, b2 = common_shift(a, b)
-    return FracIdeal(a2.curve, list(a2.gens) + list(b2.gens), a2.shift)
-
-
 def ideal_product(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     gens = [el_mul(x, y) for x in a.gens for y in b.gens]
     return FracIdeal(a.curve, gens, vec_add(a.shift, b.shift))

@@ -9,10 +9,10 @@ Five series are built from a ValueModule's degree and jump data:
 * series_proj_poincare -- alternating projectivized version
 
 The verify_* functions re-check the structural identities tying the series
-to each other and to a dual module, each as an exact coefficient-by-
-coefficient comparison on the one window [-2, gamma + 2].  They report a
-Verdict; they never assume an identity to build data.  Two display-shaped
-identities are known to fail (see the README's deviations table): the
+to each other and to a dual module, each as an exact pointwise comparison
+on the one window [-2, gamma + 2], a product read one coefficient at a time.
+They report a Verdict; they never assume an identity to build data.  Two
+display-shaped identities are known to fail (see the README's deviations table): the
 projectivized bridge in verify_proj_bridge_display, and the constancy clause
 of the projectivized Poincare functional equation for two or more branches.
 """
@@ -20,24 +20,11 @@ of the projectivized Poincare functional equation for two or more branches.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .errors import SingvalError
-from .lattice import (
-    Vec,
-    Window,
-    WindowSeries,
-    ones,
-    vec_add,
-    vec_sub,
-    ws_build,
-    ws_eq_on,
-    ws_invert_vars,
-    ws_mul_monomial,
-    ws_mul_poly,
-    ws_scale_class,
-    ws_scale_vars,
-)
+from .lattice import Vec, Window, WindowSeries, ones, vec_add, vec_sub, ws_build
 from .lefschetz import (
     GC_ONE,
     GC_ZERO,
@@ -191,14 +178,13 @@ def _agree(w: Window, lhs: Callable[[Vec], object], rhs: Callable[[Vec], object]
     return Verdict(True, holds)
 
 
-def _series_agree(w: Window, lhs: WindowSeries, rhs: WindowSeries,
-                  holds: str, fails: str) -> Verdict:
-    """_agree's verdict on two series' coefficients, compared by ws_eq_on;
-    both must determine all of w."""
-    v = ws_eq_on(lhs, rhs, w)
-    if v is None:
-        return Verdict(True, holds)
-    return Verdict(False, fails.format(v=v), witness=(v, lhs.coeff(v), rhs.coeff(v)))
+def _times(poly: dict[Vec, GrothendieckClass], coeff: Callable[[Vec], GrothendieckClass],
+           v: Vec) -> GrothendieckClass:
+    """The coefficient at v of poly * S, where coeff reads S."""
+    acc = GC_ZERO
+    for u, c in poly.items():
+        acc = gc_add(acc, gc_mul(c, coeff(vec_sub(v, u))))
+    return acc
 
 
 def _reflected_agree(
@@ -208,16 +194,16 @@ def _reflected_agree(
     k: int, holds: str, fails: str,
 ) -> Verdict:
     """left * S_b(L o t) == L^k t^(gamma - 1) * right * S_bstar(1/t) on the
-    window, with S = build and both series built on the padded box."""
+    window, with S = build and both series built on the padded box.  At x,
+    S_b(L o t) has L^|x| S_b(x) and t^(gamma - 1) S_bstar(1/t) has
+    S_bstar(gamma - 1 - x)."""
     w, pad = _boxes(vm_b)
-    r = vm_b.r
-    lhs = ws_mul_poly(ws_scale_vars(build(vm_b, pad), ones(r)), left)
-    rhs = ws_mul_monomial(
-        ws_mul_poly(ws_invert_vars(build(vm_bstar, pad)), right),
-        vec_sub(vm_b.gamma, ones(r)),
-        gc_monomial(k),
-    )
-    return _series_agree(w, lhs, rhs, holds, fails)
+    s_b, s_bstar = build(vm_b, pad), build(vm_bstar, pad)
+    s_b = WindowSeries(pad, {x: gc_mul(gc_monomial(sum(x)), c) for x, c in s_b.coeffs.items()})
+    base = vec_sub(vm_b.gamma, ones(vm_b.r))
+    right = {u: gc_mul(gc_monomial(k), c) for u, c in right.items()}
+    return _agree(w, partial(_times, left, s_b.coeff),
+                  partial(_times, right, lambda x: s_bstar.coeff(vec_sub(base, x))), holds, fails)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -232,12 +218,10 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     branch.
     """
     w, pad = _boxes(vm)
-    lhs = ws_mul_poly(series_cells(vm, pad), poly_prod_t_minus_one(vm.r))
-    rhs = ws_mul_poly(
-        ws_scale_class(series_poincare(vm, pad), GC_L_MINUS_1),
-        poly_full_shift_minus_one(vm.r),
-    )
-    return _series_agree(w, lhs, rhs, f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
+    right = {u: gc_mul(GC_L_MINUS_1, c) for u, c in poly_full_shift_minus_one(vm.r).items()}
+    return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r), series_cells(vm, pad).coeff),
+                  partial(_times, right, series_poincare(vm, pad).coeff),
+                  f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
 
 
 def verify_degree_duality(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
@@ -281,11 +265,10 @@ def verify_cell_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) ->
     r = vm_b.r
     d = r
     m = vm_b.ell(vm_b.gamma)
-    lhs = ws_scale_vars(series_degrees(vm_b, w), ones(r))
-    rhs = ws_mul_monomial(ws_invert_vars(series_degrees(vm_bstar, w)), vm_b.gamma,
-                          gc_monomial(m))
     holds = f"both forms hold with factor exponent {m} - {d}"
-    verdict = _series_agree(w, lhs, rhs, holds, "degree-series form fails at {v}")
+    verdict = _agree(w, lambda v: gc_monomial(sum(v) + vm_b.deg_J(v)),
+                     lambda v: gc_monomial(m + vm_bstar.deg_J(vec_sub(vm_b.gamma, v))),
+                     holds, "degree-series form fails at {v}")
     if not verdict:
         return verdict
     return _reflected_agree(
@@ -415,10 +398,10 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     * proj_cells.  True for one branch; fails for two or more (a known
     defect of the display; kept verbatim and reported, never used)."""
     w, pad = _boxes(vm)
-    lhs = ws_mul_poly(series_proj_poincare(vm, pad), poly_full_shift_minus_one(vm.r))
-    rhs = ws_mul_poly(series_proj_cells(vm, pad), poly_prod_t_minus_one(vm.r))
-    return _series_agree(w, lhs, rhs, f"display bridge holds on {w.lo}..{w.hi}",
-                         "display bridge mismatch")
+    ph, pc = series_proj_poincare(vm, pad), series_proj_cells(vm, pad)
+    return _agree(w, partial(_times, poly_full_shift_minus_one(vm.r), ph.coeff),
+                  partial(_times, poly_prod_t_minus_one(vm.r), pc.coeff),
+                  f"display bridge holds on {w.lo}..{w.hi}", "display bridge mismatch")
 
 
 def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:

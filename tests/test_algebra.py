@@ -30,10 +30,8 @@ from singval.algebra import (
     gorenstein_by_lengths,
     jet_rank_mod_q,
     lengths_report,
+    ideal_type,
     max_ideal,
-    module_equal,
-    monomial_ideal,
-    normalization_ideal,
     order_counts_mod_q,
     self_dual_direct,
     value_set,
@@ -44,10 +42,12 @@ from singval.curve import (
     BranchSeries,
     CurvePresentation,
     FracIdeal,
+    common_shift,
     el_mul,
     el_trunc,
+    el_unit_monomial,
     ideal_product,
-    ideal_sum,
+    monomial_scale,
     ring_ideal,
 )
 from singval.errors import (
@@ -58,12 +58,51 @@ from singval.errors import (
 )
 from singval.lattice import vec_add, vec_check, vec_sub
 from singval.schemas import load_input
+from singval.valuemodule import Verdict
 
 from conftest import CORPUS
 
 
 def series(*pairs):
     return BranchSeries(dict(pairs))
+
+
+# ------------------------------------------------ test-local module helpers
+
+def module_equal(a, b):
+    return contains_module(a, b) and contains_module(b, a)
+
+
+def normalization_ideal(curve):
+    """The full module Obar: the monomial band below the distinguished
+    nonzerodivisor generates it."""
+    p = curve.z0_order
+    return FracIdeal(curve, [el_unit_monomial(curve.r, i, e)
+                             for i in range(curve.r) for e in range(p[i])])
+
+
+def monomial_ideal(curve, v):
+    """t^v * Obar."""
+    return monomial_scale(normalization_ideal(curve), v)
+
+
+def canonical_by_double_colons(c, family=None):
+    """The double-colon reference: c : (c : a) == a for every member a.
+
+    The default family is the ring, Obar and t^v * Obar for v in
+    {0, 1}^r minus 0.  On it only the ring member can fail, since
+    c : (c : t^v Obar) = t^v Obar for every c, so it cannot tell a
+    canonical ideal from any c with c : c = O; the type test can.
+    Returns (ok, failures).
+    """
+    curve = c.curve
+    if family is None:
+        family = [ring_ideal(curve), normalization_ideal(curve)] + [
+            monomial_ideal(curve, v) for v in product(range(2), repeat=curve.r) if any(v)
+        ]
+    failures = [f"member {k}" for k, a in enumerate(family)
+                if not module_equal(colon(c, colon(c, a)), a)]
+    return (not failures, failures)
 
 
 # ---------------------------------------------------------------- conductors
@@ -286,7 +325,7 @@ def _colons_computed(monkeypatch, run):
 def test_pruned_colon_matches_the_unpruned_reference(monkeypatch, capsys):
     runs = [lambda name=name: main(["verify", str(CORPUS / f"{name}.json"), "--all-ideals"])
             for name in ["cusp", "e8", "semigroup345", "node", "tacnode"]]
-    runs.append(lambda: verify_canonical(ring_ideal(t7_t9())))
+    runs.append(lambda: canonical_by_double_colons(ring_ideal(t7_t9())))
     checked = 0
     for run in runs:
         for a, b in _colons_computed(monkeypatch, run):
@@ -329,7 +368,7 @@ def test_memo_spans_are_never_grown():
     # colon grows a private copy of the tail band's span; every span the
     # memo holds must stay the span of its own key
     curve = t7_t9()
-    assert verify_canonical(ring_ideal(curve))[0]
+    assert canonical_by_double_colons(ring_ideal(curve))[0]
     checked = 0
     for key, value in curve.memo.items():
         if key[0] == "jets":
@@ -427,19 +466,42 @@ def test_dual_is_involutive_on_corpus_ideals(corpus):
 def test_verify_canonical_positive(corpus):
     for name in ["cusp", "e8", "node", "tacnode"]:
         ci = corpus[name].curve_input
-        ok, failures = verify_canonical(ring_ideal(ci.curve), list(ci.ideals.values()))
+        ok, failures = canonical_by_double_colons(ring_ideal(ci.curve), list(ci.ideals.values()))
         assert ok, (name, failures)
+        assert verify_canonical(ring_ideal(ci.curve)) == Verdict(True, "type 1"), name
     ci = corpus["semigroup345"].curve_input
-    ok, failures = verify_canonical(ci.ideals["can"], list(ci.ideals.values()))
+    ok, failures = canonical_by_double_colons(ci.ideals["can"], list(ci.ideals.values()))
     assert ok, failures
+    assert verify_canonical(ci.ideals["can"])
 
 
 def test_verify_canonical_negative(corpus):
     # a non-Gorenstein ring is not its own canonical module
     ci = corpus["semigroup345"].curve_input
-    ok, failures = verify_canonical(ring_ideal(ci.curve), list(ci.ideals.values()))
+    ring = ring_ideal(ci.curve)
+    ok, failures = canonical_by_double_colons(ring, list(ci.ideals.values()))
     assert not ok
     assert failures
+    # the default probe family cannot see it; the type can
+    assert canonical_by_double_colons(ring)[0]
+    assert verify_canonical(ring) == Verdict(
+        False, "type 2; a canonical ideal has type 1", witness=(2,))
+
+
+def test_ideal_type_on_the_corpus(corpus):
+    want = {
+        "semigroup345": {"ring": 2, "can": 1, "nonprincipal": 1, "max": 3,
+                         "normalization": 3},
+        "node": {"ring": 1, "max": 2, "nonprincipal": 2, "normalization": 2},
+        "tacnode": {"ring": 1, "max": 2, "nonprincipal": 2, "normalization": 2},
+        "e8": {"ring": 1},
+        "cusp": {"ring": 1},
+    }
+    for name, types in want.items():
+        ci = corpus[name].curve_input
+        for iname, t in types.items():
+            b = ring_ideal(ci.curve) if iname == "ring" else ci.ideals[iname]
+            assert ideal_type(b) == t, (name, iname)
 
 
 # ------------------------------------------------------------- self-duality
@@ -933,7 +995,8 @@ def test_degree_is_the_index_against_the_ring(corpus):
     # deg b = l((b + O)/O) - l((b + O)/b), computed through the sum ideal
     for name, iname, b in corpus_ideals(corpus):
         o = ring_ideal(b.curve)
-        s = ideal_sum(b, o)
+        b2, o2 = common_shift(b, o)
+        s = FracIdeal(b.curve, list(b2.gens) + list(o2.gens), b2.shift)
         assert degree(b) == dim_quotient(s, o) - dim_quotient(s, b), (name, iname)
 
 
@@ -1116,8 +1179,8 @@ def test_unit_lookup_matches_containment(curves):
     assert checked > 500
 
 
-def _colon_results(monkeypatch, argv):
-    """Each colon computed by main(argv), with its result."""
+def _colon_results(monkeypatch, run):
+    """Each colon computed by run(), with its result."""
     results = []
     real = algebra._colon
 
@@ -1127,7 +1190,7 @@ def _colon_results(monkeypatch, argv):
         return out
 
     monkeypatch.setattr(algebra, "_colon", record)
-    main(argv)
+    run()
     monkeypatch.undo()
     return results
 
@@ -1135,11 +1198,18 @@ def _colon_results(monkeypatch, argv):
 def test_colons_match_the_fraction_engine(monkeypatch, capsys):
     checked = 0
     for name in ["cusp", "e8", "semigroup345", "node", "tacnode"]:
-        argv = ["verify", str(CORPUS / f"{name}.json"), "--all-ideals"]
-        got = _colon_results(monkeypatch, argv)
+        def run(name=name):
+            # verify, then the double colons of the file's canonical ideal
+            # against the reference probe family, on a fresh curve memo
+            main(["verify", str(CORPUS / f"{name}.json"), "--all-ideals"])
+            ci = load_input(CORPUS / f"{name}.json").curve_input
+            canonical_by_double_colons(
+                ring_ideal(ci.curve) if ci.canonical == "ring" else ci.ideals[ci.canonical])
+
+        got = _colon_results(monkeypatch, run)
         out = capsys.readouterr().out
         monkeypatch.setattr(algebra, "RowSpaceQ", ReferenceRowSpace)
-        want = _colon_results(monkeypatch, argv)
+        want = _colon_results(monkeypatch, run)
         assert capsys.readouterr().out == out
         assert got == want, name
         checked += len(got)

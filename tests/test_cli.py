@@ -201,6 +201,20 @@ def test_wrong_canonical_fails_verification(capsys):
     assert "result: fail" in out
 
 
+def test_unit_ideal_is_not_canonical_on_a_non_gorenstein_ring(capsys, tmp_path):
+    # O has type 2 over k[[t^3, t^4, t^5]]; double colons against it are
+    # stable on every t^v * Obar and on O itself, so only the type sees it
+    doc = json.loads((CORPUS / "semigroup345.json").read_text(encoding="utf-8"))
+    doc["ideals"]["fake"] = [[[[0, 1, 1]]]]
+    path = tmp_path / "semigroup345_fake.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--canonical", "fake")
+    assert code == EXIT_VERIFY
+    first = out.splitlines()[0].split()
+    assert first[:4] == ["canonical", "(fake):", "type", "FAIL"]
+    assert " ".join(first[4:]) == "type 2; a canonical ideal has type 1"
+
+
 def test_enumeration_ceiling_is_resource_error(capsys):
     code, _, err = run(
         capsys, "count", corpus_file("node"), "--q", "2", "--level", "4",

@@ -8,13 +8,12 @@ import pytest
 from singval.algebra import dual, ring_ideal, value_set
 from singval.curve import BranchSeries, CurvePresentation
 from singval.errors import SingvalError
-from singval.lattice import Window, ws_build, ws_eq_on, ws_mul_poly, ws_scale_class
+from singval import poincare
+from singval.lattice import Window, WindowSeries
 from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
     default_window,
-    poly_full_shift_minus_one,
-    poly_prod_t_minus_one,
     series_cells,
     series_degrees,
     series_poincare,
@@ -32,6 +31,8 @@ from singval.poincare import (
     verify_proj_functional_equation,
     verify_proj_support,
 )
+
+import wsref
 
 
 def canonical_of(ci):
@@ -292,24 +293,63 @@ def test_tail_identity_refuses_inapplicable_modules(ring_vms, ideal_vms):
 
 # ---------------------------------------------------- corruption detection
 
-def test_single_coefficient_corruption_is_detected(ring_vms):
+def test_single_coefficient_corruption_is_detected(ring_vms, monkeypatch):
     vm = ring_vms["e8"]
-    w = default_window(vm)
-    pad = Window(tuple(x - 1 for x in w.lo), w.hi)
     target = (5,)
 
-    def corrupted(v):
-        c = series_poincare(vm, pad).coeff(v)
-        return gc_add(c, GC_ONE) if v == target else c
+    def corrupted(vm, w):
+        s = series_poincare(vm, w)
+        return WindowSeries(w, {**s.coeffs, target: gc_add(s.coeff(target), GC_ONE)})
 
-    lhs = ws_mul_poly(series_cells(vm, pad), poly_prod_t_minus_one(vm.r))
-    rhs = ws_mul_poly(
-        ws_scale_class(ws_build(pad, corrupted), GC_L_MINUS_1),
-        poly_full_shift_minus_one(vm.r),
-    )
-    bad = ws_eq_on(lhs, rhs, w)
-    assert bad is not None
-    assert bad <= target
+    monkeypatch.setattr(poincare, "series_poincare", corrupted)
+    bad = verify_cell_poincare_bridge(vm)
+    assert not bad
+    assert bad.witness[0] <= target
+    monkeypatch.undo()
+    assert verify_cell_poincare_bridge(vm)
+
+
+# ------------------------------------- the windowed-series reference shape
+
+def reference_pairs(corpus, ideal_vms, rand_mods):
+    """(b, b*) pairs: every corpus module with its computed dual, each random
+    staircase with its profile dual, and every module with a wrong partner
+    (itself, and another module of the same branch count)."""
+    pairs = []
+    for name, inp in corpus.items():
+        if inp.mode != "concrete":
+            continue
+        ci = inp.curve_input
+        for iname in list(ci.ideals) + ["ring"]:
+            b = ring_ideal(ci.curve) if iname == "ring" else ci.ideals[iname]
+            vm_b = ideal_vms[(name, iname)]
+            vm_bstar = dual_table(ci, b)
+            pairs += [(vm_b, vm_bstar), (vm_bstar, vm_b), (vm_b, vm_b)]
+    for i, vm in enumerate(rand_mods):
+        try:
+            pairs.append((vm, vm.dual_from_jump_profile()))
+        except SingvalError:
+            pass
+        others = [o for o in rand_mods[i + 1:] + rand_mods[:i] if o.r == vm.r]
+        same = [o for o in others if o.gamma == vm.gamma]
+        pairs += [(vm, vm), (vm, (same or others)[0])]
+    return pairs
+
+
+def test_pointwise_verifiers_match_the_windowed_reference(corpus, ideal_vms, rand_mods):
+    seen = {True: 0, False: 0}
+    for vm_b, vm_bstar in reference_pairs(corpus, ideal_vms, rand_mods):
+        for got, want in [
+            (verify_cell_poincare_bridge(vm_b), wsref.cell_poincare_bridge(vm_b)),
+            (verify_proj_bridge_display(vm_b), wsref.proj_bridge_display(vm_b)),
+            (verify_cell_functional_equation(vm_b, vm_bstar),
+             wsref.cell_functional_equation(vm_b, vm_bstar)),
+            (verify_poincare_functional_equation(vm_b, vm_bstar),
+             wsref.poincare_functional_equation(vm_b, vm_bstar)),
+        ]:
+            assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness)
+            seen[got.ok] += 1
+    assert seen[True] > 100 and seen[False] > 100, seen
 
 
 # ------------------------------------------------- closed forms at L = 1
