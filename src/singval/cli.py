@@ -387,7 +387,7 @@ def _verify_pair_rows(
 
 def _verify_ideal(
     rows: list[Row], ci: CurveInput, name: str,
-    canonical: FracIdeal | None, margin: int,
+    canonical: FracIdeal | None, no_canonical: str, margin: int,
 ) -> None:
     b = _resolve_ideal(ci, name)
     try:
@@ -402,7 +402,7 @@ def _verify_ideal(
          lambda: _routes_check(vm, b, canonical))
 
     if canonical is None:
-        rows.append((f"{name}: duality checks", "SKIP", "no canonical ideal"))
+        rows.append((f"{name}: duality checks", "SKIP", no_canonical))
         return
     try:
         rep = lengths_report(b, canonical)
@@ -449,15 +449,20 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     else:
         ci = bundle.curve_input
         canonical, cname = _resolve_canonical(ci, args.canonical)
+        no_canonical = "no canonical ideal"
         if canonical is not None:
             _row(rows, f"canonical ({cname}): type", lambda: verify_canonical(canonical))
+            if rows[-1][1] == "FAIL":
+                # every dual-based row would only restate this one
+                no_canonical = f"canonical ideal {cname!r} rejected: {rows[-1][2]}"
+                canonical = None
         else:
-            rows.append(("canonical: type", "SKIP", "no canonical ideal"))
+            rows.append(("canonical: type", "SKIP", no_canonical))
         targets = ["ring"]
         if args.all_ideals:
             targets += sorted(ci.ideals)
         for name in targets:
-            _verify_ideal(rows, ci, name, canonical, args.margin)
+            _verify_ideal(rows, ci, name, canonical, no_canonical, args.margin)
 
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "DEFECT": 0}
     for _, status, _ in rows:

@@ -61,8 +61,8 @@ BS_ZERO = BranchSeries()
 BS_ONE = BranchSeries({0: 1})
 
 
-def bs_monomial(e: int, c: Fraction | int = 1) -> BranchSeries:
-    return BranchSeries({e: c})
+def bs_monomial(e: int) -> BranchSeries:
+    return BranchSeries({e: 1})
 
 
 def bs_mul(a: BranchSeries, b: BranchSeries) -> BranchSeries:
@@ -97,9 +97,9 @@ def el_one(r: int) -> Element:
     return (BS_ONE,) * r
 
 
-def el_unit_monomial(r: int, i: int, e: int, c: Fraction | int = 1) -> Element:
-    """c * t^e on branch i, zero elsewhere."""
-    return tuple(bs_monomial(e, c) if j == i else BS_ZERO for j in range(r))
+def el_unit_monomial(r: int, i: int, e: int) -> Element:
+    """t^e on branch i, zero elsewhere."""
+    return tuple(bs_monomial(e) if j == i else BS_ZERO for j in range(r))
 
 
 def el_mul(a: Element, b: Element) -> Element:

@@ -72,27 +72,27 @@ class CurveInput:
     canonical: str | None  # ideal name, or "ring"
 
 
-def parse_curve_input(data: object, path: str = "$") -> CurveInput:
-    _expect(isinstance(data, dict), path, "expected a JSON object")
+def parse_curve_input(data: object) -> CurveInput:
+    _expect(isinstance(data, dict), "$", "expected a JSON object")
     field = data.get("field")
-    _expect(field == "rational", f"{path}.field", f'only "rational" is supported, got {field!r}')
-    r = _as_int(data.get("branches"), f"{path}.branches")
-    _expect(r >= 1, f"{path}.branches", "need at least one branch")
+    _expect(field == "rational", "$.field", f'only "rational" is supported, got {field!r}')
+    r = _as_int(data.get("branches"), "$.branches")
+    _expect(r >= 1, "$.branches", "need at least one branch")
     raw_gens = data.get("ring_generators")
-    _expect(isinstance(raw_gens, list) and raw_gens, f"{path}.ring_generators",
+    _expect(isinstance(raw_gens, list) and raw_gens, "$.ring_generators",
             "expected a nonempty list of generators")
     gens = [
-        _parse_generator(g, r, f"{path}.ring_generators[{i}]") for i, g in enumerate(raw_gens)
+        _parse_generator(g, r, f"$.ring_generators[{i}]") for i, g in enumerate(raw_gens)
     ]
     try:
         curve = CurvePresentation(r, gens)
     except SingvalError as exc:
-        raise SchemaError(f"{path}.ring_generators: {exc}") from exc
+        raise SchemaError(f"$.ring_generators: {exc}") from exc
     ideals: dict[str, FracIdeal] = {}
     raw_ideals = data.get("ideals", {})
-    _expect(isinstance(raw_ideals, dict), f"{path}.ideals", "expected an object of named ideals")
+    _expect(isinstance(raw_ideals, dict), "$.ideals", "expected an object of named ideals")
     for name, raw in raw_ideals.items():
-        p = f"{path}.ideals.{name}"
+        p = f"$.ideals.{name}"
         _expect(isinstance(raw, list) and raw, p, "expected a nonempty list of generators")
         igens = [_parse_generator(g, r, f"{p}[{i}]") for i, g in enumerate(raw)]
         try:
@@ -101,8 +101,8 @@ def parse_curve_input(data: object, path: str = "$") -> CurveInput:
             raise SchemaError(f"{p}: {exc}") from exc
     canonical = data.get("canonical")
     if canonical is not None:
-        _expect(isinstance(canonical, str), f"{path}.canonical", "expected an ideal name or \"ring\"")
-        _expect(canonical == "ring" or canonical in ideals, f"{path}.canonical",
+        _expect(isinstance(canonical, str), "$.canonical", "expected an ideal name or \"ring\"")
+        _expect(canonical == "ring" or canonical in ideals, "$.canonical",
                 f"unknown ideal {canonical!r}")
     return CurveInput(curve, ideals, canonical)
 
@@ -158,11 +158,11 @@ class InputBundle:
     value_module: ValueModule | None
 
 
-def parse_input(data: object, path: str = "$") -> InputBundle:
-    _expect(isinstance(data, dict), path, "expected a JSON object")
+def parse_input(data: object) -> InputBundle:
+    _expect(isinstance(data, dict), "$", "expected a JSON object")
     if data.get("mode") == "value-module":
-        return InputBundle("abstract", None, parse_value_module(data, path))
-    return InputBundle("concrete", parse_curve_input(data, path), None)
+        return InputBundle("abstract", None, parse_value_module(data))
+    return InputBundle("concrete", parse_curve_input(data), None)
 
 
 def load_input(path: str | Path, concrete: bool = False) -> InputBundle:

@@ -2,16 +2,17 @@
 
 A ValueModule stores the membership table of a normalized value set on the
 box [0, gamma], where gamma is the minimal conductor (v >= gamma lies in the
-set, and membership anywhere is determined by clipping into the box).  All
-filtration counts (partial and total jump dimensions, staircase codimension,
-degrees), the gap sets used by the symmetry test, and the three self-duality
-criteria are computed from that table alone.
+set, and membership anywhere is determined by clipping into the box).  From
+that table alone it builds, once, the per-axis jump table and the staircase
+codimension table on the box; every filtration count (partial and total
+jump dimensions, codimension, degrees), the gap sets used by the symmetry
+test and the self-duality criteria read those two tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SingvalError
 from .lattice import Vec, iter_box, vec_check
@@ -37,10 +38,11 @@ class ValueModule:
     d_i = 1, so the total degree d of the series formulas is r.
     `deg_offset` is the degree of the normalized ideal, used by deg_J.
     `ambient` optionally carries the ring's own value set for the module
-    structure checks.
+    structure checks.  `_jumps[v][i]` is the partial jump c(v, i) and
+    `_ell[v]` the codimension ell(v), both for v in [0, gamma].
     """
 
-    __slots__ = ("r", "gamma", "members", "deg_offset", "ambient", "_ell_cache")
+    __slots__ = ("r", "gamma", "members", "deg_offset", "ambient", "_jumps", "_ell")
 
     def __init__(
         self,
@@ -53,25 +55,39 @@ class ValueModule:
         if not isinstance(r, int) or r < 1:
             raise SingvalError(f"branch count must be a positive integer, got {r!r}")
         self.r = r
-        self.gamma = vec_check(gamma, r)
-        if any(x < 0 for x in self.gamma):
-            raise SingvalError(f"conductor exponent must be nonnegative, got {self.gamma}")
+        self.gamma = g = vec_check(gamma, r)
+        if any(x < 0 for x in g):
+            raise SingvalError(f"conductor exponent must be nonnegative, got {g}")
         if not isinstance(deg_offset, int):
             raise SingvalError(f"deg_offset must be an integer, got {deg_offset!r}")
         self.deg_offset = deg_offset
         self.ambient = ambient
-        pts = frozenset(vec_check(v, r) for v in members)
-        self.members = pts
-        self._ell_cache: dict[Vec, int] = {}
+        self.members = mem = frozenset(vec_check(v, r) for v in members)
+        for v in mem:
+            if any(x < 0 for x in v) or any(x > gx for x, gx in zip(v, g)):
+                raise SingvalError(f"member {v} falls outside the box [0, {g}]")
+        # Reverse lex: some member w has w_i = v_i and w_j >= v_j (j != i)
+        # exactly when v is a member or v + 1_j has such a w, for some j != i
+        # with v_j < gamma_j.  Forward lex: ell(v) = ell(v - 1_k) +
+        # c(v - 1_k, k), k the last nonzero coordinate of v; that is the
+        # staircase raising coordinate 0 first, then 1, and so on.
+        box = list(iter_box((0,) * r, g))
+        self._jumps = jumps = {}
+        for v in reversed(box):
+            ups = [(j, jumps[v[:j] + (v[j] + 1,) + v[j + 1:]]) for j in range(r) if v[j] < g[j]]
+            jumps[v] = tuple(int(v in mem or any(u[i] for j, u in ups if j != i))
+                             for i in range(r))
+        self._ell = ell = {box[0]: 0}
+        for v in box[1:]:
+            k = max(j for j in range(r) if v[j])
+            w = v[:k] + (v[k] - 1,) + v[k + 1:]
+            ell[v] = ell[w] + jumps[w][k]
         self._validate()
 
     # -- construction-time sanity ------------------------------------------
 
     def _validate(self) -> None:
         g = self.gamma
-        for v in self.members:
-            if any(x < 0 for x in v) or any(x > gx for x, gx in zip(v, g)):
-                raise SingvalError(f"member {v} falls outside the box [0, {g}]")
         if g not in self.members:
             raise SingvalError(f"the conductor point {g} must itself be a member")
         for i in range(self.r):
@@ -87,10 +103,8 @@ class ValueModule:
                     raise SingvalError(
                         f"not min-closed: {a} and {b} are members but {m} is not")
         # gamma must be the *minimal* conductor: one step below it in any
-        # coordinate, the jump in that coordinate is still zero
+        # coordinate, the jump in that coordinate is still zero (always, if gamma_i = 0)
         for i in range(self.r):
-            if g[i] == 0:
-                continue
             probe = tuple(x - 1 if j == i else x for j, x in enumerate(g))
             if self.c_partial(probe, i) != 0:
                 raise SingvalError(
@@ -124,8 +138,8 @@ class ValueModule:
         """Dimension jump in direction i: 0 or 1.
 
         Equals 1 exactly when some member w has w_i = v_i and w_j >= v_j for
-        j != i.  Coordinates are clipped into the box first; above gamma_i
-        the jump is always 1, below 0 always 0.
+        j != i.  Above gamma_i the jump is always 1, below 0 always 0;
+        otherwise it is the jump table's entry at v clipped into the box.
         """
         v = vec_check(v, self.r)
         if not 0 <= i < self.r:
@@ -134,27 +148,18 @@ class ValueModule:
             return 0
         if v[i] >= self.gamma[i]:
             return 1
-        need = tuple(min(max(x, 0), g) for x, g in zip(v, self.gamma))
-        for w in self.members:
-            if w[i] == v[i] and all(w[j] >= need[j] for j in range(self.r) if j != i):
-                return 1
-        return 0
+        return self._jumps[tuple(min(max(x, 0), g) for x, g in zip(v, self.gamma))][i]
 
-    def c_total(self, v: Iterable[int], order: Sequence[int] | None = None) -> int:
+    def c_total(self, v: Iterable[int]) -> int:
         """Total jump dim between v and v + 1, as a chain sum of partial jumps.
 
-        The chain raises one coordinate at a time; any coordinate order gives
-        the same value (a tested invariant), default is 0..r-1.
+        The chain raises coordinate 0, then 1, and so on; on good tables any
+        coordinate order gives the same value (a tested invariant).
         """
         v = vec_check(v, self.r)
-        if order is None:
-            order = range(self.r)
-        else:
-            if sorted(order) != list(range(self.r)):
-                raise SingvalError(f"chain order must permute 0..{self.r - 1}, got {order!r}")
         total = 0
         cur = list(v)
-        for i in order:
+        for i in range(self.r):
             total += self.c_partial(tuple(cur), i)
             cur[i] += 1
         return total
@@ -163,21 +168,17 @@ class ValueModule:
         """Codimension of the v-th filtration step inside the whole module.
 
         Sum of partial jumps along the staircase from 0 up to max(v, 0),
-        raising coordinate 0 first, then 1, and so on.
+        raising coordinate 0 first, then 1, and so on: the length table at
+        v clipped into the box, plus one for every step above gamma.
         """
         v = vec_check(v, self.r)
-        u = tuple(max(x, 0) for x in v)
-        if u in self._ell_cache:
-            return self._ell_cache[u]
-        total = 0
-        cur = [0] * self.r
-        for i in range(self.r):
-            for k in range(u[i]):
-                cur[i] = k
-                total += self.c_partial(tuple(cur), i)
-            cur[i] = u[i]
-        self._ell_cache[u] = total
-        return total
+        u, above = [], 0
+        for x, g in zip(v, self.gamma):
+            if x > g:
+                above += x - g
+                x = g
+            u.append(x if x > 0 else 0)
+        return self._ell[tuple(u)] + above
 
     def deg_J(self, v: Iterable[int]) -> int:
         """Degree of the v-th filtration step: deg_offset - ell(v)."""
@@ -265,24 +266,13 @@ class ValueModule:
             return Verdict(True, f"2*{lhs // 2} = {rhs}")
         return Verdict(False, f"2*ell(gamma) = {lhs} != {rhs} = sum(gamma)")
 
-    def self_dual_by_chain(self, order: Sequence[int] | None = None) -> Verdict:
+    def self_dual_by_chain(self) -> Verdict:
         """Chain criterion along one saturated chain from 0 to gamma.
 
-        `order` lists the coordinate raised at each step (coordinate i must
-        appear exactly gamma_i times); default raises coordinate 0 first.
-        At every chain point the per-coordinate pairing must be exact.
+        The chain raises coordinate 0 gamma_0 times, then coordinate 1, and
+        so on.  At every chain point the per-coordinate pairing must be exact.
         """
-        g = self.gamma
-        if order is None:
-            order = [i for i in range(self.r) for _ in range(g[i])]
-        counts = [0] * self.r
-        for i in order:
-            if not 0 <= i < self.r:
-                raise SingvalError(f"chain step index {i} out of range")
-            counts[i] += 1
-        if counts != list(g):
-            raise SingvalError(
-                f"chain must raise coordinate i exactly gamma_i times; got {counts} vs {list(g)}")
+        order = [i for i in range(self.r) for _ in range(self.gamma[i])]
         cur = [0] * self.r
         for step, i in enumerate(order):
             v = tuple(cur)

@@ -50,3 +50,13 @@ def ideal_vms(corpus):
 def rand_mods():
     """100 random finitely determined staircases, fixed seed, r in {1, 2}."""
     return random_modules(100, seed=20260814)
+
+
+def chain_total(vm, v, order):
+    """c_partial summed along the chain from v to v + 1 that raises the
+    coordinates in `order`, one step each."""
+    total, cur = 0, list(v)
+    for i in order:
+        total += vm.c_partial(tuple(cur), i)
+        cur[i] += 1
+    return total

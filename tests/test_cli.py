@@ -1,9 +1,11 @@
 """Command-line entry points: exit codes, formats, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -213,6 +215,45 @@ def test_unit_ideal_is_not_canonical_on_a_non_gorenstein_ring(capsys, tmp_path):
     first = out.splitlines()[0].split()
     assert first[:4] == ["canonical", "(fake):", "type", "FAIL"]
     assert " ".join(first[4:]) == "type 2; a canonical ideal has type 1"
+    # the rejected canonical stops the dual-based rows instead of failing each
+    rows = out.splitlines()[:-1]
+    col = rows[0].index("  FAIL  ") + 2
+    table = {row[:col].strip(): (row[col:col + 6].strip(), row[col + 8:]) for row in rows}
+    assert [name for name, (status, _) in table.items() if status == "FAIL"] == [
+        "canonical (fake): type"]
+    assert not any("dual construction" in name for name in table)
+    assert table["ring: duality checks"] == (
+        "SKIP", "canonical ideal 'fake' rejected: type 2; a canonical ideal has type 1")
+    assert table["ring: self-duality routes agree"][1].endswith("direct=skipped")
+
+
+def test_plane_curves_are_gorenstein(capsys, tmp_path, monkeypatch):
+    # Kunz (one branch) and Delgado (several): a plane curve's ring is
+    # Gorenstein and its value semigroup symmetric, and for one branch that
+    # symmetry is conductor = 2 delta
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    fam = importlib.import_module("families")
+    docs = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if len(doc.get("ring_generators", [])) == 2:
+            docs[path.stem] = doc
+    assert sorted(docs) == ["cusp", "e8", "node", "tacnode"]
+    rng = random.Random(5)
+    for case in [fam.monomial_branch(3, 4, rng), fam.a_type(3, rng),
+                 fam.ordinary_point(3, rng), fam.glued_cusps(rng)]:
+        assert len(case.data["ring_generators"]) == 2
+        docs[case.name] = case.data
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "info", str(path), "--format", "json")
+        assert code == EXIT_OK, name
+        info = json.loads(out)
+        assert info["gorenstein_by_lengths"] and info["gorenstein_by_symmetry"], name
+        assert info["type"] == 1, name  # ideal_type of the ring
+        if info["branches"] == 1:
+            assert info["conductor"] == [2 * info["delta"]], name
 
 
 def test_enumeration_ceiling_is_resource_error(capsys):

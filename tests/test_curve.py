@@ -97,9 +97,9 @@ def test_el_shift_moves_every_branch_independently():
 
 
 def test_el_unit_monomial_places_one_branch():
-    x = el_unit_monomial(3, 1, 4, c=7)
+    x = el_unit_monomial(3, 1, 4)
     assert x[0].is_exact_zero() and x[2].is_exact_zero()
-    assert x[1].coeffs == {4: Fraction(7)}
+    assert x[1].coeffs == {4: Fraction(1)}
     assert not el_is_exact_zero(x)
     assert el_is_exact_zero((BS_ZERO,) * 3)
 
