@@ -50,6 +50,8 @@ _ZERO = Fraction(0)
 _denominator = attrgetter("denominator")
 # the conductor search climbs at most this far above the minimal orders
 CONDUCTOR_CLIMB = 128
+# value_set checks the clip rule this far above the conductor box
+CLIP_COLLAR = 4
 # the GF(p) oracle packs at most this many jets into one int
 _MAX_SLOTS = 1024
 
@@ -629,23 +631,20 @@ def verify_canonical(c: FracIdeal) -> Verdict:
 # -- value sets -----------------------------------------------------------------
 
 
-def value_set(b: FracIdeal, margin: int = 2) -> ValueModule:
+def value_set(b: FracIdeal) -> ValueModule:
     """Extract the normalized value set of b as a ValueModule.
 
     Normalizes by the minimal order vector, certifies the conductor, fills
     the membership table on [0, gamma] through jet dimension jumps, and
-    verifies the clip rule on a collar of width margin + 2 before trusting
+    verifies the clip rule on a collar of width CLIP_COLLAR before trusting
     the box; the cut table is read at w = v + svec, inside [0, N] for every
     v in the box.  The module's deg_offset is the degree of the normalized ideal.
     """
-    if margin < 1:
-        raise SingvalError("margin must be at least 1")
     bn = normalize_ideal(b)
     r = bn.r
     svec = bn.vmin  # equals bn.shift componentwise after normalization
     gamma = vec_sub(_gen_conductor(bn), svec)
-    collar = margin + 2
-    top = tuple(g + collar for g in gamma)
+    top = tuple(g + CLIP_COLLAR for g in gamma)
     N = vec_add(vec_add(top, svec), (2,) * r)
     cuts = jet_span(bn, N).cut_table()
     members = []

@@ -167,7 +167,7 @@ def cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     ci = load_input(args.file, concrete=True).curve_input
     curve = ci.curve
     ring = ring_ideal(curve)
-    vm = value_set(ring, margin=args.margin)
+    vm = value_set(ring)
     rep = lengths_report(ring)
     delta = rep.outside  # the length of ring * normalization over the ring
     rho = ideal_type(ring)
@@ -209,7 +209,7 @@ def cmd_ideal_info(args: argparse.Namespace, out: TextIO) -> int:
     ci = load_input(args.file, concrete=True).curve_input
     b = _resolve_ideal(ci, args.ideal)
     canonical, cname = _resolve_canonical(ci, args.canonical)
-    vm = value_set(b, margin=args.margin)
+    vm = value_set(b)
     rep = lengths_report(b, canonical)
     routes, direct, agree = _self_dual_routes(vm, b, canonical)
     members = vm.members_sorted()
@@ -259,7 +259,7 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     if bundle.curve_input is not None:
         ideal_name = args.ideal if args.ideal is not None else "ring"
         b = _resolve_ideal(bundle.curve_input, ideal_name)
-        vm = value_set(b, margin=args.margin)
+        vm = value_set(b)
     else:
         if args.ideal is not None:
             raise SchemaError("abstract value-module files carry no ideals; "
@@ -387,11 +387,11 @@ def _verify_pair_rows(
 
 def _verify_ideal(
     rows: list[Row], ci: CurveInput, name: str,
-    canonical: FracIdeal | None, no_canonical: str, margin: int,
+    canonical: FracIdeal | None, no_canonical: str,
 ) -> None:
     b = _resolve_ideal(ci, name)
     try:
-        vm = value_set(b, margin=margin)
+        vm = value_set(b)
     except SingvalError as exc:
         rows.append((f"{name}: value table extraction", "FAIL", str(exc)))
         return
@@ -406,18 +406,14 @@ def _verify_ideal(
         return
     try:
         rep = lengths_report(b, canonical)
-        vm_star = value_set(dual(b, canonical), margin=margin)
+        vm_star = value_set(dual(b, canonical))
     except SingvalError as exc:
         rows.append((f"{name}: dual construction", "FAIL", str(exc)))
         return
     rows.append((f"{name}: dual construction", "PASS",
                  f"dual conductor {_fmt_vec(vm_star.gamma)}"))
-    if rep.dual_match is None:
-        rows.append((f"{name}: dual length match", "SKIP", "no canonical ideal"))
-    else:
-        rows.append((f"{name}: dual length match",
-                     "PASS" if rep.dual_match else "FAIL",
-                     f"inside={rep.inside} total={rep.total} outside={rep.outside}"))
+    rows.append((f"{name}: dual length match", "PASS" if rep.dual_match else "FAIL",
+                 f"inside={rep.inside} total={rep.total} outside={rep.outside}"))
     _verify_pair_rows(rows, name, vm, vm_star, "computed dual", on_error="FAIL")
 
 
@@ -462,7 +458,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         if args.all_ideals:
             targets += sorted(ci.ideals)
         for name in targets:
-            _verify_ideal(rows, ci, name, canonical, no_canonical, args.margin)
+            _verify_ideal(rows, ci, name, canonical, no_canonical)
 
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "DEFECT": 0}
     for _, status, _ in rows:
@@ -493,7 +489,7 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     # a bad reduction or an oversized enumeration refuses before any series
     rank = jet_rank_mod_q(curve, args.q, args.level)
     counts = order_counts_mod_q(curve, args.q, args.level, ceiling=args.ceiling)
-    vm = value_set(ring_ideal(curve), margin=args.margin)
+    vm = value_set(ring_ideal(curve))
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
     pg = series_poincare(vm, w)
     scale = Fraction(args.q) ** rank
@@ -546,8 +542,6 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
             return None
         sp = sub.add_parser(name, help=help)
         sp.add_argument("file", help="input JSON file")
-        sp.add_argument("--margin", type=int, default=2,
-                        help="window margin around the conductor box (default 2)")
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
         sp.set_defaults(func=func)
@@ -566,6 +560,8 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
                         help="comma list from a,lg,pg,lhat,phat (default pg,lg,phat,lhat)")
         sp.add_argument("--q", type=int, default=None,
                         help="also evaluate every coefficient at L = q")
+        sp.add_argument("--margin", type=int, default=2,
+                        help="window margin around the conductor box (default 2)")
     if sp := command("verify", cmd_verify, "run every applicable identity check"):
         sp.add_argument("--all-ideals", action="store_true",
                         help="check every ideal in the file, not just the ring")
@@ -585,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        if args.margin < 1:
+        if args.command == "series" and args.margin < 1:
             raise SchemaError(f"margin must be at least 1, got {args.margin}")
         if getattr(args, "q", None) is not None and args.q < 2:
             raise SchemaError(f"specialization needs q >= 2, got {args.q}")

@@ -114,10 +114,6 @@ class WindowSeries:
                 clean[v] = c
         self.coeffs = clean
 
-    @property
-    def r(self) -> int:
-        return self.window.r
-
     def coeff(self, v: Vec) -> GrothendieckClass:
         v = vec_check(v, self.window.r)
         if v not in self.window:

@@ -37,19 +37,6 @@ class GrothendieckClass:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
-
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise SingvalError("zero class has no minimal exponent")
-        return min(self._terms)
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise SingvalError("zero class has no maximal exponent")
-        return max(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -99,41 +86,23 @@ def gc_mul(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
     return GrothendieckClass(out)
 
 
-def gc_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
-    """Exact quotient a / b in Z[L, 1/L].
+def gc_div_exact(a: GrothendieckClass) -> GrothendieckClass:
+    """Exact quotient a / (L - 1) in Z[L, 1/L], the one division the series need.
 
-    Long division over Z by descending exponent: if a = q*b with q integral,
-    each step fixes one coefficient of q, which is then an integer.  Raises
-    NotDivisible as soon as a step leaves a remainder mod the leading
-    coefficient of b, or the quotient would need exponents below
-    min_exp(a) - min_exp(b) (the division does not terminate inside Laurent
-    polynomials).
+    If a = q*(L - 1), the coefficient of q at L^e is minus the sum of a's
+    coefficients up to e, for e from min(a) to max(a) - 1.  Raises
+    NotDivisible unless a's coefficients sum to 0.
     """
-    if b.is_zero():
-        raise NotDivisible("division by zero class")
-    if a.is_zero():
-        return GC_ZERO
-    lead_e = b.max_exp()
-    lead_c = b._terms[lead_e]
-    floor_e = a.min_exp() - b.min_exp()
-    rem = dict(a._terms)
+    if sum(a._terms.values()):
+        raise NotDivisible(f"{a} is not divisible by L - 1")
+    if not a:  # common outside a value set; spares building another zero
+        return a
+    up = list(reversed(a._terms.items()))
     quo: dict[int, int] = {}
-    while rem:
-        e = max(rem)
-        qe = e - lead_e
-        if qe < floor_e:
-            raise NotDivisible(f"{a} is not divisible by {b}")
-        qc, left = divmod(rem[e], lead_c)
-        if left:
-            raise NotDivisible(f"{a} is not divisible by {b} over Z")
-        quo[qe] = qc
-        for be, bc in b._terms.items():
-            k = qe + be
-            s = rem.get(k, 0) - qc * bc
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
+    run = 0
+    for (e, c), (nxt, _) in zip(up, up[1:]):
+        run -= c
+        quo.update(dict.fromkeys(range(e, nxt), run))
     return GrothendieckClass(quo)
 
 

@@ -99,14 +99,14 @@ def series_poincare(vm: ValueModule, w: Window) -> WindowSeries:
         acc = GC_ZERO
         for sign, ind in _subsets(vm.r):
             acc = gc_add(acc, gc_monomial(vm.deg_J(vec_add(v, ind)), sign))
-        return gc_div_exact(acc, GC_L_MINUS_1)
+        return gc_div_exact(acc)
 
     return ws_build(w, coeff)
 
 
 def _proj_class(g: int) -> GrothendieckClass:
     """(L^g - 1)/(L - 1), the class of a projective space of dimension g - 1."""
-    return gc_div_exact(gc_add(gc_monomial(g), gc_int(-1)), GC_L_MINUS_1)
+    return gc_div_exact(gc_add(gc_monomial(g), gc_int(-1)))
 
 
 def series_proj_cells(vm: ValueModule, w: Window) -> WindowSeries:

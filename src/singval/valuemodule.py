@@ -286,21 +286,6 @@ class ValueModule:
             cur[i] += 1
         return Verdict(True, "pairing exact along the chain")
 
-    def pairing_report(self) -> list[tuple[Vec, int, int]]:
-        """Pointwise excess of the count pairing over d, where positive.
-
-        Returns (v, c(v) + c(gamma-v-1), d) for every window point where the
-        sum exceeds d.  Empty for rings and self-dual modules; general
-        modules can genuinely exceed the bound.
-        """
-        d = self.r
-        out = []
-        for v in iter_box((-1,) * self.r, self.gamma):
-            s = self.c_total(v) + self.mirror(v)[1]
-            if s > d:
-                out.append((v, s, d))
-        return out
-
     def is_good(self) -> Verdict:
         """The completion axiom that separates value sets from arbitrary
         min-closed tables.

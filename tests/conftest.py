@@ -6,6 +6,7 @@ import pytest
 
 from singval.algebra import value_set
 from singval.curve import ring_ideal
+from singval.lattice import iter_box
 from singval.schemas import load_input
 
 from randmod import random_modules
@@ -60,3 +61,13 @@ def chain_total(vm, v, order):
         total += vm.c_partial(tuple(cur), i)
         cur[i] += 1
     return total
+
+
+def pairing_report(vm):
+    """Pointwise excess of the count pairing over d, where positive: (v,
+    c(v) + c(gamma - v - 1), d) for every v in [-1, gamma] where the sum
+    exceeds d.  Empty for rings and self-dual modules; general modules can
+    genuinely exceed the bound."""
+    d = vm.r
+    return [(v, s, d) for v in iter_box((-1,) * d, vm.gamma)
+            if (s := vm.c_total(v) + vm.mirror(v)[1]) > d]

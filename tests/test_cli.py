@@ -173,6 +173,15 @@ def test_bad_margin_is_input_error(capsys):
     assert "margin" in err
 
 
+@pytest.mark.parametrize("argv", [["info"], ["ideal-info"], ["verify"],
+                                  ["count", "--q", "2", "--level", "3"]])
+def test_margin_is_a_series_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], corpus_file("cusp"), *argv[1:], "--margin", "2"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --margin" in capsys.readouterr().err
+
+
 def test_composite_q_is_input_error(capsys):
     code, _, err = run(
         capsys, "count", corpus_file("cusp"), "--q", "4", "--level", "3"

@@ -26,19 +26,7 @@ classes = st.builds(
     GrothendieckClass,
     st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6),
 )
-nonzero_classes = classes.filter(lambda a: not a.is_zero())
-# divisors whose leading coefficient is not a unit of Z, next to random ones
-divisors = st.one_of(
-    nonzero_classes,
-    st.sampled_from([
-        GrothendieckClass({0: 2}),
-        GrothendieckClass({3: -3}),
-        GrothendieckClass({1: 2, 0: -1}),          # 2L - 1
-        GrothendieckClass({2: 3, 0: -2}),          # 3L^2 - 2
-        GrothendieckClass({0: -2, -1: 1}),         # -2 + L^-1
-        GrothendieckClass({3: 4, 1: 2, -2: 6}),
-    ]),
-)
+L_MINUS_1 = GrothendieckClass({1: 1, 0: -1})
 
 
 def _reference_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
@@ -46,16 +34,16 @@ def _reference_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> Grothend
 
     Long division by descending exponent over Q; raises NotDivisible if a
     remainder survives, any quotient coefficient is non-integral, or the
-    quotient would need exponents below min_exp(a) - min_exp(b) (i.e. the
+    quotient would need exponents below min(a) - min(b) (i.e. the
     division does not terminate inside Laurent polynomials).
     """
     if b.is_zero():
         raise NotDivisible("division by zero class")
     if a.is_zero():
         return GC_ZERO
-    lead_e = b.max_exp()
+    lead_e = max(b._terms)
     lead_c = b._terms[lead_e]
-    floor_e = a.min_exp() - b.min_exp()
+    floor_e = min(a._terms) - min(b._terms)
     rem: dict[int, Fraction] = {e: Fraction(c) for e, c in a._terms.items()}
     quo: dict[int, Fraction] = {}
     while rem:
@@ -84,7 +72,7 @@ def _reference_div_exact(a: GrothendieckClass, b: GrothendieckClass) -> Grothend
 def test_canonical_form_drops_zeros():
     a = GrothendieckClass({3: 0, 1: 2, 0: -1})
     assert a == GrothendieckClass({1: 2, 0: -1})
-    assert a.max_exp() == 1 and a.coeff(3) == 0
+    assert max(a._terms) == 1 and a._terms.get(3, 0) == 0
     assert GrothendieckClass({5: 1, -5: -1}) != GC_ZERO
     assert GrothendieckClass() == GC_ZERO == gc_int(0)
     # sums and products that cancel leave no zero coefficient behind
@@ -107,7 +95,8 @@ def test_equal_classes_hash_equal(a, b):
         (gc_add(a, b), gc_add(b, a)),
         (gc_mul(a, b), gc_mul(b, a)),
         # the same class built from its coefficients by increasing exponent
-        (a, GrothendieckClass({e: a.coeff(e) for e in range(a.min_exp(), a.max_exp() + 1)}
+        (a, GrothendieckClass({e: a._terms.get(e, 0)
+                               for e in range(min(a._terms), max(a._terms) + 1)}
                               if a else {})),
         (a, b),
     ]
@@ -136,29 +125,25 @@ def test_mul_associates(a, b, c):
     assert gc_mul(gc_mul(a, b), c) == gc_mul(a, gc_mul(b, c))
 
 
-@given(classes, nonzero_classes)
-def test_div_undoes_mul(a, b):
-    assert gc_div_exact(gc_mul(a, b), b) == a
+@given(classes)
+def test_div_undoes_mul(a):
+    assert gc_div_exact(gc_mul(a, L_MINUS_1)) == a
 
 
-@given(classes, divisors, classes, st.integers(2, 3),
-       st.sampled_from(["product", "perturbed", "scaled", "random"]))
-def test_div_matches_the_fraction_reference(q, b, noise, k, kind):
-    # exact products, products off by a few terms, products divided by a
-    # multiple of their factor (divisible over Q, maybe not over Z), and
-    # unrelated pairs: the integer division agrees with the rational one
-    a = noise if kind == "random" else gc_mul(q, b)
+@given(classes, classes, st.sampled_from(["product", "perturbed", "random"]))
+def test_div_matches_the_fraction_reference(q, noise, kind):
+    # exact multiples of L - 1, multiples off by a few terms, and unrelated
+    # classes: the division by L - 1 agrees with the rational long division
+    a = noise if kind == "random" else gc_mul(q, L_MINUS_1)
     if kind == "perturbed":
         a = gc_add(a, noise)
-    if kind == "scaled":
-        b = gc_mul(gc_int(k), b)
     try:
-        want = _reference_div_exact(a, b)
+        want = _reference_div_exact(a, L_MINUS_1)
     except NotDivisible:
         with pytest.raises(NotDivisible):
-            gc_div_exact(a, b)
+            gc_div_exact(a)
     else:
-        assert gc_div_exact(a, b) == want
+        assert gc_div_exact(a) == want
 
 
 @given(classes)
@@ -185,29 +170,20 @@ def test_eval_rational_exact():
 
 def test_cyclotomic_quotient():
     num = gc_add(gc_monomial(5), gc_int(-1))
-    den = gc_add(gc_monomial(1), gc_int(-1))
-    assert gc_div_exact(num, den) == GrothendieckClass({i: 1 for i in range(5)})
+    assert gc_div_exact(num) == GrothendieckClass({i: 1 for i in range(5)})
 
 
 def test_division_failures():
     L = gc_monomial(1)
     with pytest.raises(NotDivisible):
-        gc_div_exact(gc_add(L, GC_ONE), gc_add(L, gc_int(-1)))
-    with pytest.raises(NotDivisible):
-        gc_div_exact(gc_add(L, GC_ONE), gc_int(2))
-    # 1/(L+1) is a power series, not a Laurent polynomial
-    with pytest.raises(NotDivisible):
-        gc_div_exact(GC_ONE, gc_add(L, GC_ONE))
-    with pytest.raises(NotDivisible):
-        gc_div_exact(GC_ONE, GC_ZERO)
-    assert gc_div_exact(GC_ZERO, L) == GC_ZERO
+        gc_div_exact(gc_add(L, GC_ONE))
+    assert gc_div_exact(GC_ZERO) == GC_ZERO
 
 
 def test_negative_exponent_division():
-    # (L - L^-1) / (L + 1) = 1 - L^-1
-    num = GrothendieckClass({1: 1, -1: -1})
-    den = GrothendieckClass({1: 1, 0: 1})
-    assert gc_div_exact(num, den) == GrothendieckClass({0: 1, -1: -1})
+    # (1 - L^-2) / (L - 1) = L^-1 + L^-2
+    num = GrothendieckClass({0: 1, -2: -1})
+    assert gc_div_exact(num) == GrothendieckClass({-1: 1, -2: 1})
 
 
 def test_text_form():

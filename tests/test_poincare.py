@@ -376,8 +376,7 @@ def _poincare_at_one(curve):
     vm = value_set(ring_ideal(curve))
     w = Window((0,) * vm.r, tuple(g + 3 for g in vm.gamma))
     at_one = {
-        v: sum(c.coeff(e) for e in range(c.min_exp(), c.max_exp() + 1))
-        for v, c in series_poincare(vm, w).coeffs.items()
+        v: sum(c._terms.values()) for v, c in series_poincare(vm, w).coeffs.items()
     }
     return {v: x for v, x in at_one.items() if x}
 

@@ -18,7 +18,6 @@ EXCEPTIONS = {
     "algebra.count_points_mod_q": "perfbench/layers.py binds it (algebra.oracle span)",
     "algebra.JetSpace.dim_at_least": "perfbench/layers.py binds it (algebra.dim_at_least span)",
     "curve.el_trunc": "perfbench/layers.py binds it (curve.el_trunc_calls)",
-    "valuemodule.ValueModule.pairing_report": "a library call the README documents",
 }
 
 
@@ -53,6 +52,40 @@ def test_every_src_definition_has_a_caller_in_src():
                    for where, name, line in names):
             uncalled.add(qual)
     assert uncalled == set(EXCEPTIONS)
+
+
+# Names defined more than once in src/.  The check above counts a definition
+# as called when any equal name is used, so one definition can hide behind
+# another; the callers of each were found by reading the code.
+SHARED_NAMES = {
+    "_reduce": {
+        "algebra._reduce": "JetLayout.element_row and JetSpace.__init__: _reduce(c, p)",
+        "algebra.RowSpaceQ._reduce": "RowSpaceQ.residual, contains and add: self._reduce(row)",
+    },
+    "copy": {
+        "algebra.JetSpace.copy": "algebra._colon: _jets(...).copy()",
+        "algebra.RowSpaceQ.copy": "JetSpace.copy: self.space.copy()",
+    },
+    "r": {
+        "algebra.JetLayout.r": "algebra._cut_dims: layout.r",
+        "curve.FracIdeal.r": "algebra.value_set: bn.r, and most ideal code",
+        "lattice.Window.r": "WindowSeries.__init__ and coeff: window.r",
+    },
+    "rank": {
+        "algebra.JetSpace.rank": "algebra._trace_lengths and jet_rank_mod_q: jet_span(...).rank",
+        "algebra.RowSpaceQ.rank": "JetSpace.rank and algebra._cut_dims: sp.rank",
+    },
+}
+
+
+def test_every_shared_name_is_pinned_with_its_callers():
+    defs, _ = definitions_and_names()
+    by_name = {}
+    for _, qual, node in defs:
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            by_name.setdefault(node.name, set()).add(qual)
+    shared = {name: quals for name, quals in by_name.items() if len(quals) > 1}
+    assert shared == {name: set(callers) for name, callers in SHARED_NAMES.items()}
 
 
 # Parameters with a default that no call in src/ passes; each entry says who does.
