@@ -791,13 +791,14 @@ def order_counts_mod_q(
     and counts each exact order vector, with N_i where branch i vanishes to the
     precision.  Deliberately naive: it is the oracle the motivic series are
     checked against.  It shares the jet engine (JetSpace, over GF(p) here)
-    with value_set; what stays independent is the use made of the span: this
-    enumerates its elements, while value_set extracts jump dimensions from
-    ranks and the series are built from those.  Every one of the p^rank
-    coefficient words is formed and its orders are read from its own
-    coefficients, with no echelon structure and no cut table; the words are
-    only packed many to an int (_modp_order_histogram), so that one big-int
-    step forms or tests up to _MAX_SLOTS of them at once.
+    with the prediction; what stays independent is the use made of the span:
+    this enumerates its elements, while the prediction reads lengths off the
+    cut table of the ring's Q span at the same N and builds the series from
+    those.  Every one of the p^rank coefficient words is formed and its
+    orders are read from its own coefficients, with no echelon structure and
+    no cut table; the words are only packed many to an int
+    (_modp_order_histogram), so that one big-int step forms or tests up to
+    _MAX_SLOTS of them at once.
     """
     N = _modp_precision(curve, p, level)
     rows, layout = _modp_jet_basis(curve, p, N)

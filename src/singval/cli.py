@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence, TextIO
 
 from .algebra import (
@@ -28,6 +29,7 @@ from .algebra import (
     gorenstein_by_lengths,
     ideal_type,
     jet_rank_mod_q,
+    jet_span,
     lengths_report,
     order_counts_mod_q,
     self_dual_direct,
@@ -489,9 +491,12 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     # a bad reduction or an oversized enumeration refuses before any series
     rank = jet_rank_mod_q(curve, args.q, args.level)
     counts = order_counts_mod_q(curve, args.q, args.level, ceiling=args.ceiling)
-    vm = value_set(ring_ideal(curve))
+    # The Q span jet_rank_mod_q checked is O / O(N), N = level + 1; its jets
+    # vanishing below w are O(w) / O(N), so ell(w) = rank - cut(w) on [0, N],
+    # which holds every v + S the window reads (the ring's degree offset is 0).
+    cuts = jet_span(ring_ideal(curve), (args.level + 1,) * curve.r).cut_table()
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
-    pg = series_poincare(vm, w)
+    pg = series_poincare(SimpleNamespace(r=curve.r, deg_J=lambda v: cuts[v] - rank), w)
     scale = Fraction(args.q) ** rank
     table = []
     all_ok = True

@@ -93,7 +93,8 @@ def series_cells(vm: ValueModule, w: Window) -> WindowSeries:
 
 def series_poincare(vm: ValueModule, w: Window) -> WindowSeries:
     """Coefficient at v: inclusion-exclusion over the axis shifts, divided
-    exactly by L - 1.  Vanishes outside the value set."""
+    exactly by L - 1.  Vanishes outside the value set.  Reads only vm.r and
+    vm.deg_J, so any object carrying those two serves as vm."""
 
     def coeff(v: Vec) -> GrothendieckClass:
         acc = GC_ZERO

@@ -29,6 +29,7 @@ from singval.algebra import (
     dual,
     gorenstein_by_lengths,
     jet_rank_mod_q,
+    jet_span,
     lengths_report,
     ideal_type,
     max_ideal,
@@ -662,6 +663,21 @@ def test_jet_ranks(curves):
     assert jet_rank_mod_q(curves["node"], 2, 3) == 7
     assert jet_rank_mod_q(curves["node"], 2, 4) == 9
     assert jet_rank_mod_q(curves["tacnode"], 2, 3) == 6
+
+
+def test_span_lengths_match_the_value_set(curves):
+    # count reads ell(w) = rank - cut(w) off the ring's Q span at
+    # N = level + 1; value_set reads it off a span past the conductor and
+    # extends it above gamma by one per step.  Levels below and past gamma.
+    for name, curve in {**curves, **family_curves()}.items():
+        ring = ring_ideal(curve)
+        vm = value_set(ring)
+        assert vm.deg_offset == 0, name
+        for level in sorted({1, min(vm.gamma), max(vm.gamma) + 2}):
+            span = jet_span(ring, (level + 1,) * curve.r)
+            cuts = span.cut_table()
+            for w in product(range(level + 1), repeat=curve.r):
+                assert span.rank - cuts[w] == vm.ell(w), (name, level, w)
 
 
 COUNTS = {

@@ -314,20 +314,29 @@ def test_ceiling_or_level_below_one_is_input_error(capsys):
 
 
 def test_count_enumerates_the_span_once(capsys, monkeypatch):
-    # the rank check and the histogram share one GF(p) span, however many
-    # order vectors the window holds (3^2 here)
-    builds = []
+    # the rank check and the histogram share one GF(p) span, and the rank
+    # check and the series lengths one Q span, however many order vectors
+    # the window holds (3^2 here); no value set and no conductor climb
+    argv = ("count", corpus_file("node"), "--q", "3", "--level", "3")
+    _, want, _ = run(capsys, *argv)
+    builds, probes = [], []
     real = algebra.JetSpace.__init__
 
     def counted(self, curve, gens, N, p=0):
         builds.append(p)
         real(self, curve, gens, N, p)
 
+    def no_value_set(b):
+        raise AssertionError("count built a value set")
+
     monkeypatch.setattr(algebra.JetSpace, "__init__", counted)
-    code, out, _ = run(capsys, "count", corpus_file("node"), "--q", "3", "--level", "3")
-    assert code == EXIT_OK
+    monkeypatch.setattr(algebra, "_band_contained", lambda a, m: probes.append(m))
+    monkeypatch.setattr(cli, "value_set", no_value_set)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == want
     assert out.count("counted=") == 9
-    assert builds.count(3) == 1
+    assert sorted(builds) == [0, 3]
+    assert probes == []
 
 
 def test_large_prime_is_tested_at_once(capsys):
@@ -402,6 +411,21 @@ def test_conductor_above_the_old_climb_is_found(capsys, tmp_path):
 def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
     # (t, t), (t^3, t^3): both branches are one curve, so no conductor exists
     path = curve_file(tmp_path, 2, [[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]])
+    code, _, err = run(capsys, "info", path)
+    assert code == EXIT_RESOURCE
+    assert "climb ceiling of 128" in err
+
+
+def test_count_needs_no_conductor(capsys, tmp_path):
+    # t^13, t^15: conductor 12 * 14 = 168 lies above the climb ceiling, which
+    # count never meets, since its lengths come from the span at level + 1
+    path = curve_file(tmp_path, 1, [[[[13, 1, 1]]], [[[15, 1, 1]]]])
+    code, out, _ = run(capsys, "count", path, "--q", "2", "--level", "16")
+    assert code == EXIT_OK
+    assert out.endswith("agreement: yes\n")
+    hit = [line.split()[0] for line in out.splitlines()
+           if line.startswith("v=") and "counted=0 " not in line]
+    assert hit == ["v=[0]", "v=[13]", "v=[15]"]
     code, _, err = run(capsys, "info", path)
     assert code == EXIT_RESOURCE
     assert "climb ceiling of 128" in err

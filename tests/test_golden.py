@@ -31,6 +31,11 @@ MANIFEST = {
     "count_cusp.txt": ["count", "corpus/cusp.json", "--q", "2", "--level", "4"],
     "count_node.txt": ["count", "corpus/node.json", "--q", "3", "--level", "3"],
     "count_tacnode_q5_l3.txt": ["count", "corpus/tacnode.json", "--q", "5", "--level", "3"],
+    "count_node_q5_l3_json.txt": ["count", "corpus/node.json", "--q", "5", "--level", "3",
+                                  "--format", "json"],
+    "count_e8_q3_l5.txt": ["count", "corpus/e8.json", "--q", "3", "--level", "5"],
+    "count_345_q2_l7_json.txt": ["count", "corpus/semigroup345.json", "--q", "2",
+                                 "--level", "7", "--format", "json"],
 }
 
 
