@@ -67,6 +67,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+RESOURCE_ERRORS = (EnumerationTooLarge, BoundSearchExceeded)  # exit 3, never a table row
 
 SERIES_BUILDERS: dict[str, Callable[[ValueModule, Window], object]] = {
     "a": series_degrees,
@@ -327,6 +328,8 @@ def _row(rows: list[Row], name: str, fn: Callable[[], object],
     """
     try:
         verdict = fn()
+    except RESOURCE_ERRORS:
+        raise
     except SingvalError as exc:
         rows.append((name, on_error, str(exc)))
         return
@@ -394,6 +397,8 @@ def _verify_ideal(
     b = _resolve_ideal(ci, name)
     try:
         vm = value_set(b)
+    except RESOURCE_ERRORS:
+        raise
     except SingvalError as exc:
         rows.append((f"{name}: value table extraction", "FAIL", str(exc)))
         return
@@ -409,6 +414,8 @@ def _verify_ideal(
     try:
         rep = lengths_report(b, canonical)
         vm_star = value_set(dual(b, canonical))
+    except RESOURCE_ERRORS:
+        raise
     except SingvalError as exc:
         rows.append((f"{name}: dual construction", "FAIL", str(exc)))
         return
@@ -600,7 +607,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise EnumerationTooLarge(
                     f"q = {args.q} exceeds the enumeration ceiling {args.ceiling}")
         return args.func(args, sys.stdout)
-    except (EnumerationTooLarge, BoundSearchExceeded) as exc:
+    except RESOURCE_ERRORS as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except SingvalError as exc:

@@ -20,7 +20,7 @@ of the projectivized Poincare functional equation for two or more branches.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import SingvalError
@@ -40,6 +40,7 @@ from .lefschetz import (
 from .valuemodule import ValueModule, Verdict, ring_like
 
 GC_L_MINUS_1 = GrothendieckClass({1: 1, 0: -1})
+TABLES_KEPT = 64  # series tables _table keeps; a verify run reads four per module
 
 
 def _subsets(r: int):
@@ -143,13 +144,12 @@ def default_window(vm: ValueModule, pad: int = 2) -> Window:
     return Window(ones(vm.r, -pad), vec_add(vm.gamma, ones(vm.r, pad)))
 
 
-def _boxes(vm: ValueModule) -> tuple[Window, Window]:
-    """The window w = [-2, gamma + 2] every identity is checked on, and the
-    box [-3, gamma + 2] its operands are built on: one point lower on every
-    axis, the reach of a multiplier with support in {0, 1}^r.  Both boxes
-    are their own reflections through gamma and gamma - 1 respectively."""
-    w = default_window(vm)
-    return w, Window(vec_sub(w.lo, ones(vm.r)), w.hi)
+@lru_cache(maxsize=TABLES_KEPT)
+def _table(build: Callable[[ValueModule, Window], WindowSeries], vm: ValueModule) -> WindowSeries:
+    """build(vm) on [-3, gamma + 2]: the check window one point lower on every
+    axis, the reach of a multiplier with support in {0, 1}^r.  Keyed by the
+    module's content, so equal modules share one table; rows only read it."""
+    return build(vm, Window(ones(vm.r, -3), vec_add(vm.gamma, ones(vm.r, 2))))
 
 
 def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
@@ -195,15 +195,15 @@ def _reflected_agree(
     k: int, holds: str, fails: str,
 ) -> Verdict:
     """left * S_b(L o t) == L^k t^(gamma - 1) * right * S_bstar(1/t) on the
-    window, with S = build and both series built on the padded box.  At x,
-    S_b(L o t) has L^|x| S_b(x) and t^(gamma - 1) S_bstar(1/t) has
-    S_bstar(gamma - 1 - x)."""
-    w, pad = _boxes(vm_b)
-    s_b, s_bstar = build(vm_b, pad), build(vm_bstar, pad)
-    s_b = WindowSeries(pad, {x: gc_mul(gc_monomial(sum(x)), c) for x, c in s_b.coeffs.items()})
+    window, with S = build read from both modules' tables.  At x, S_b(L o t)
+    has L^|x| S_b(x), so the left side at v is L^|v| times the v-th coefficient
+    of (L^-|u| left_u) * S_b; t^(gamma - 1) S_bstar(1/t) has S_bstar(gamma - 1 - x)."""
+    s_b, s_bstar = _table(build, vm_b), _table(build, vm_bstar)
     base = vec_sub(vm_b.gamma, ones(vm_b.r))
+    left = {u: gc_mul(gc_monomial(-sum(u)), c) for u, c in left.items()}
     right = {u: gc_mul(gc_monomial(k), c) for u, c in right.items()}
-    return _agree(w, partial(_times, left, s_b.coeff),
+    return _agree(default_window(vm_b),
+                  lambda v: gc_mul(gc_monomial(sum(v)), _times(left, s_b.coeff, v)),
                   partial(_times, right, lambda x: s_bstar.coeff(vec_sub(base, x))), holds, fails)
 
 
@@ -218,10 +218,10 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     its coefficients carry; without it the two sides differ already for one
     branch.
     """
-    w, pad = _boxes(vm)
+    w = default_window(vm)
     right = {u: gc_mul(GC_L_MINUS_1, c) for u, c in poly_full_shift_minus_one(vm.r).items()}
-    return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r), series_cells(vm, pad).coeff),
-                  partial(_times, right, series_poincare(vm, pad).coeff),
+    return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r), _table(series_cells, vm).coeff),
+                  partial(_times, right, _table(series_poincare, vm).coeff),
                   f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
 
 
@@ -367,14 +367,13 @@ def verify_proj_functional_equation(
         raise SingvalError(f"unknown part {part!r}")
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w, pad = _boxes(vm_b)
+    w = default_window(vm_b)
     r = vm_b.r
     d = r
     base = vec_sub(vm_b.gamma, ones(r))
     build = series_proj_cells if part == "cells" else series_proj_poincare
     factor = gc_monomial(d - 1, 1 if part == "cells" else -((-1) ** r))
-    ser_b = build(vm_b, Window(pad.lo, vec_sub(w.hi, ones(r))))  # base - w
-    ser_s = build(vm_bstar, w)
+    ser_b, ser_s = _table(build, vm_b), _table(build, vm_bstar)
 
     def residual(v: Vec) -> GrothendieckClass:
         return gc_add(ser_b.coeff(vec_sub(base, v)),
@@ -398,8 +397,8 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     """Display-shaped bridge (t_1...t_r - 1) * proj_poincare == prod(t_i - 1)
     * proj_cells.  True for one branch; fails for two or more (a known
     defect of the display; kept verbatim and reported, never used)."""
-    w, pad = _boxes(vm)
-    ph, pc = series_proj_poincare(vm, pad), series_proj_cells(vm, pad)
+    w = default_window(vm)
+    ph, pc = _table(series_proj_poincare, vm), _table(series_proj_cells, vm)
     return _agree(w, partial(_times, poly_full_shift_minus_one(vm.r), ph.coeff),
                   partial(_times, poly_prod_t_minus_one(vm.r), pc.coeff),
                   f"display bridge holds on {w.lo}..{w.hi}", "display bridge mismatch")
@@ -412,8 +411,8 @@ def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
     """
     w = default_window(vm)
     one = ones(vm.r)
-    ph = series_proj_poincare(vm, w)
-    pg = series_poincare(vm, w)
+    ph = _table(series_proj_poincare, vm)
+    pg = _table(series_poincare, vm)
     return _agree(
         w,
         lambda v: gc_mul(ph.coeff(v), gc_monomial(vm.deg_J(vec_add(v, one)))),
@@ -426,7 +425,7 @@ def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
 def verify_proj_support(vm: ValueModule) -> Verdict:
     """Nonzero projectivized Poincare coefficients only over members."""
     w = default_window(vm)
-    ph = series_proj_poincare(vm, w)
+    ph = _table(series_proj_poincare, vm)
     return _agree(
         w,
         ph.coeff,

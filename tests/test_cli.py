@@ -9,10 +9,11 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from singval import algebra, cli
+from singval import algebra, cli, poincare
 from singval.cli import (COMMANDS, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY,
                          _build_parser, main)
 from singval.valuemodule import ValueModule
@@ -414,6 +415,29 @@ def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
     code, _, err = run(capsys, "info", path)
     assert code == EXIT_RESOURCE
     assert "climb ceiling of 128" in err
+
+
+def test_verify_without_a_canonical_exits_at_the_climb_ceiling(capsys, tmp_path):
+    # no canonical ideal, so value_set is the first to climb; a resource
+    # ceiling exits 3 as it does for info, not as a FAIL row
+    path = curve_file(tmp_path, 2, [[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]])
+    code, out, err = run(capsys, "verify", path)
+    assert code == EXIT_RESOURCE
+    assert "climb ceiling of 128" in err
+    assert not out
+
+
+def test_verify_builds_each_series_once_per_module(capsys, monkeypatch):
+    built = Counter()
+    for name in ("series_degrees", "series_cells", "series_poincare",
+                 "series_proj_cells", "series_proj_poincare"):
+        def counting(vm, w, real=getattr(poincare, name), name=name):
+            built[name, vm] += 1
+            return real(vm, w)
+        monkeypatch.setattr(poincare, name, counting)
+    code, _, _ = run(capsys, "verify", corpus_file("node"), "--all-ideals")
+    assert code == EXIT_OK
+    assert built and max(built.values()) == 1, built
 
 
 def test_count_needs_no_conductor(capsys, tmp_path):

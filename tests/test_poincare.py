@@ -13,6 +13,7 @@ from singval.lattice import Window, WindowSeries
 from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
+    _table,
     default_window,
     series_cells,
     series_degrees,
@@ -31,8 +32,10 @@ from singval.poincare import (
     verify_proj_functional_equation,
     verify_proj_support,
 )
+from singval.valuemodule import ValueModule
 
 import wsref
+from conftest import GORENSTEIN
 
 
 def canonical_of(ci):
@@ -307,6 +310,69 @@ def test_single_coefficient_corruption_is_detected(ring_vms, monkeypatch):
     assert bad.witness[0] <= target
     monkeypatch.undo()
     assert verify_cell_poincare_bridge(vm)
+
+
+# ------------------------------------------------------ shared series tables
+
+TABLE_BUILDERS = (series_cells, series_poincare, series_proj_cells, series_proj_poincare)
+
+
+def test_equal_modules_share_one_table(corpus, ring_vms):
+    vm = ring_vms["tacnode"]
+    twin = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset)
+    assert twin is not vm
+    for build in TABLE_BUILDERS:
+        assert _table(build, twin) is _table(build, vm)
+    # a Gorenstein ring and its computed dual are equal by content
+    ci = corpus["node"].curve_input
+    vm_star = dual_table(ci, ring_ideal(ci.curve))
+    assert vm_star is not ring_vms["node"]
+    assert _table(series_poincare, vm_star) is _table(series_poincare, ring_vms["node"])
+
+
+def test_degree_offset_keys_the_table(ring_vms):
+    vm = ring_vms["e8"]
+    shifted = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset + 1)
+    a, b = _table(series_poincare, vm), _table(series_poincare, shifted)
+    assert a is not b
+    assert b.coeffs == {v: gc_mul(gc_monomial(1), c) for v, c in a.coeffs.items()}
+
+
+def test_a_non_gorenstein_ring_and_its_dual_keep_their_own_tables(corpus, ring_vms):
+    ci = corpus["semigroup345"].curve_input
+    vm = ring_vms["semigroup345"]
+    vm_star = dual_table(ci, ring_ideal(ci.curve))
+    # same conductor, different members and degree offset; then members alone
+    same_degree = ValueModule(vm.r, vm.gamma, vm_star.members, deg_offset=vm.deg_offset)
+    for build in TABLE_BUILDERS:
+        assert _table(build, vm_star).coeffs != _table(build, vm).coeffs
+        assert _table(build, same_degree).coeffs != _table(build, vm).coeffs
+
+
+def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
+    for name, vm in ring_vms.items():
+        ci = corpus[name].curve_input
+        vm_star = dual_table(ci, ring_ideal(ci.curve))
+
+        def rows():
+            out = [check(vm) for check in (verify_cell_poincare_bridge, verify_proj_affine_bridge,
+                                           verify_proj_support, verify_proj_bridge_display)]
+            out += [check(vm, vm_star) for check in (
+                verify_degree_duality, verify_cell_functional_equation,
+                verify_poincare_functional_equation, verify_jump_duality)]
+            out += [verify_proj_functional_equation(vm, vm_star, part=part)
+                    for part in ("cells", "poincare")]
+            if name in GORENSTEIN:
+                out.append(verify_gorenstein_tail_identity(vm))
+            return out
+
+        def tables():
+            return [dict(_table(build, m).coeffs) for build in TABLE_BUILDERS
+                    for m in (vm, vm_star)]
+
+        first, before = rows(), tables()
+        assert rows() == first, name  # Verdict equality covers detail and witness
+        assert tables() == before, name
 
 
 # ------------------------------------- the windowed-series reference shape

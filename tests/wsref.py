@@ -18,7 +18,6 @@ from singval.lattice import Vec, Window, WindowSeries, ones, vec_add, vec_leq, v
 from singval.lefschetz import GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
-    _boxes,
     _pair_check,
     default_window,
     poly_full_shift_minus_one,
@@ -98,12 +97,20 @@ def series_agree(w: Window, lhs: WindowSeries, rhs: WindowSeries,
     return Verdict(False, fails.format(v=v), witness=(v, lhs.coeff(v), rhs.coeff(v)))
 
 
+def boxes(vm: ValueModule) -> tuple[Window, Window]:
+    """The window [-2, gamma + 2] an identity is checked on, and the box
+    [-3, gamma + 2] its operands are built on: one point lower on every axis,
+    the reach of a multiplier with support in {0, 1}^r."""
+    w = default_window(vm)
+    return w, Window(vec_sub(w.lo, ones(vm.r)), w.hi)
+
+
 def reflected_agree(
     build: Callable[[ValueModule, Window], WindowSeries],
     vm_b: ValueModule, vm_bstar: ValueModule,
     left: dict, right: dict, k: int, holds: str, fails: str,
 ) -> Verdict:
-    w, pad = _boxes(vm_b)
+    w, pad = boxes(vm_b)
     r = vm_b.r
     lhs = mul_poly(scale_vars(build(vm_b, pad), ones(r)), left)
     rhs = mul_monomial(mul_poly(invert_vars(build(vm_bstar, pad)), right),
@@ -112,7 +119,7 @@ def reflected_agree(
 
 
 def cell_poincare_bridge(vm: ValueModule) -> Verdict:
-    w, pad = _boxes(vm)
+    w, pad = boxes(vm)
     lhs = mul_poly(series_cells(vm, pad), poly_prod_t_minus_one(vm.r))
     rhs = mul_poly(scale_class(series_poincare(vm, pad), GC_L_MINUS_1),
                    poly_full_shift_minus_one(vm.r))
@@ -162,7 +169,7 @@ def poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) -> Ve
 
 
 def proj_bridge_display(vm: ValueModule) -> Verdict:
-    w, pad = _boxes(vm)
+    w, pad = boxes(vm)
     lhs = mul_poly(series_proj_poincare(vm, pad), poly_full_shift_minus_one(vm.r))
     rhs = mul_poly(series_proj_cells(vm, pad), poly_prod_t_minus_one(vm.r))
     return series_agree(w, lhs, rhs, f"display bridge holds on {w.lo}..{w.hi}",
