@@ -37,18 +37,18 @@ from .algebra import (
     verify_canonical,
 )
 from .curve import FracIdeal, ring_ideal
-from .errors import BoundSearchExceeded, EnumerationTooLarge, SchemaError, SingvalError
-from .lattice import Window, ones, ws_to_json
-from .lefschetz import gc_eval_rational, gc_mul, gc_to_text
+from .errors import RESOURCE_ERRORS, EnumerationTooLarge, SchemaError, SingvalError
+from .lattice import Vec, Window
+from .lefschetz import GrothendieckClass, gc_eval_rational, gc_mul, gc_to_json, gc_to_text
 from .poincare import (
     GC_L_MINUS_1,
+    Coeff,
     default_window,
     series_cells,
     series_degrees,
     series_poincare,
     series_proj_cells,
     series_proj_poincare,
-    specialize,
     verify_cell_functional_equation,
     verify_cell_poincare_bridge,
     verify_degree_duality,
@@ -67,9 +67,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-RESOURCE_ERRORS = (EnumerationTooLarge, BoundSearchExceeded)  # exit 3, never a table row
 
-SERIES_BUILDERS: dict[str, Callable[[ValueModule, Window], object]] = {
+SERIES_BUILDERS: dict[str, Callable[[ValueModule], Coeff]] = {
     "a": series_degrees,
     "lg": series_cells,
     "pg": series_poincare,
@@ -84,6 +83,14 @@ def _fmt_vec(v: Sequence[int]) -> str:
 
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"
+
+
+def ws_to_json(w: Window, table: dict[Vec, GrothendieckClass]) -> dict:
+    """A series' classes on w, every point (zeros included) in lex order."""
+    return {
+        "window": {"lo": list(w.lo), "hi": list(w.hi)},
+        "coefficients": [{"point": list(v), "class": gc_to_json(c)} for v, c in table.items()],
+    }
 
 
 def _emit(out: TextIO, fmt: str, lines: list[str], obj: dict) -> None:
@@ -283,12 +290,15 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
         raise SchemaError("no series requested")
 
     w = default_window(vm, args.margin)
-    built = {key: SERIES_BUILDERS[key](vm, w) for key in which}
+    tables = {}
+    for key in which:
+        coeff = SERIES_BUILDERS[key](vm)
+        tables[key] = {v: coeff(v) for v in w.points()}
     obj: dict = {
         "file": args.file,
         "ideal": ideal_name,
         "window": {"lo": list(w.lo), "hi": list(w.hi)},
-        "series": {key: ws_to_json(s) for key, s in built.items()},
+        "series": {key: ws_to_json(w, table) for key, table in tables.items()},
     }
     lines = [
         f"file: {args.file}",
@@ -298,13 +308,13 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     if args.q is not None:
         obj["q"] = args.q
         obj["specialized"] = {}
-    for key, s in built.items():
+    for key, table in tables.items():
         lines.append(f"series {key}:")
         if args.q is not None:
-            values = {v: str(val) for v, val in specialize(s, args.q).items()}
-            obj["specialized"][key] = [[list(v), val] for v, val in sorted(values.items())]
-        for v in w.points():
-            row = f"  {_fmt_vec(v)}  {gc_to_text(s.coeff(v))}"
+            values = {v: str(gc_eval_rational(c, args.q)) for v, c in table.items()}
+            obj["specialized"][key] = [[list(v), val] for v, val in values.items()]
+        for v, c in table.items():
+            row = f"  {_fmt_vec(v)}  {gc_to_text(c)}"
             if args.q is not None:
                 row += f"  (at q={args.q}: {values[v]})"
             lines.append(row)
@@ -503,13 +513,13 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     # which holds every v + S the window reads (the ring's degree offset is 0).
     cuts = jet_span(ring_ideal(curve), (args.level + 1,) * curve.r).cut_table()
     w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
-    pg = series_poincare(SimpleNamespace(r=curve.r, deg_J=lambda v: cuts[v] - rank), w)
+    pg = series_poincare(SimpleNamespace(r=curve.r, deg_J=lambda v: cuts[v] - rank))
     scale = Fraction(args.q) ** rank
     table = []
     all_ok = True
     for v in w.points():
         counted = counts.get(v, 0)
-        predicted = gc_eval_rational(gc_mul(GC_L_MINUS_1, pg.coeff(v)), args.q) * scale
+        predicted = gc_eval_rational(gc_mul(GC_L_MINUS_1, pg(v)), args.q) * scale
         ok = predicted.denominator == 1 and predicted == counted
         all_ok = all_ok and ok
         table.append((v, counted, predicted, ok))

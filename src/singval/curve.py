@@ -12,6 +12,7 @@ monomial shift so that modules with poles still have a nonnegative model.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import SchemaError, SingvalError, ZeroDivisor
@@ -169,6 +170,10 @@ class CurvePresentation:
                 gens.append(g)
         if not gens:
             raise SchemaError("the ring presentation has no nonconstant generator")
+        for i, j in combinations(range(r), 2):
+            if all(g[i] == g[j] for g in gens):
+                raise SchemaError(f"branches {i} and {j} coincide: every generator agrees "
+                                  "on them, so the curve is not reduced")
         self.r = r
         self.gens = tuple(gens)
         # order vector of a nonzerodivisor sum l^(j-1) g_j: per branch its

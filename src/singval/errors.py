@@ -16,10 +16,6 @@ class NotDivisible(SingvalError):
     """Exact division in Z[L, 1/L] left a remainder or a fractional quotient."""
 
 
-class WindowNotCovered(SingvalError):
-    """A series comparison was requested on points outside the computed window."""
-
-
 class EmptyResultWindow(SingvalError):
     """A window operation produced a box with some hi < lo; no point survives."""
 
@@ -44,8 +40,9 @@ class BadReduction(SingvalError):
 
 
 class EnumerationTooLarge(SingvalError):
-    """A finite-field point count would enumerate more jets than the ceiling
-    allows."""
+    """A computation would enumerate more than its ceiling allows: the jets
+    of a finite-field point count, or the points of a value module's box
+    [0, gamma], which the module tabulates in full."""
 
 
 class ClipRuleViolation(SingvalError):
@@ -55,3 +52,6 @@ class ClipRuleViolation(SingvalError):
 
 class SchemaError(SingvalError):
     """An input file does not match the expected JSON layout."""
+
+
+RESOURCE_ERRORS = (EnumerationTooLarge, BoundSearchExceeded)  # exit 3, never a table row

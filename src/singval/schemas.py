@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curve import BranchSeries, CurvePresentation, Element, FracIdeal
-from .errors import SchemaError, SingvalError
+from .errors import RESOURCE_ERRORS, SchemaError, SingvalError
 from .valuemodule import ValueModule
 
 
@@ -141,6 +141,8 @@ def parse_value_module(data: object, path: str = "$") -> ValueModule:
         ambient = parse_value_module(data["ambient"], f"{path}.ambient")
     try:
         vm = ValueModule(r, gamma, members, deg_offset=deg_offset, ambient=ambient)
+    except RESOURCE_ERRORS:
+        raise
     except Exception as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     good = vm.is_good()

@@ -12,10 +12,14 @@ test and the self-duality criteria read those two tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable
 
-from .errors import SingvalError
+from .errors import EnumerationTooLarge, SingvalError
 from .lattice import Vec, iter_box, vec_check
+
+
+BOX_POINTS_MAX = 1 << 18  # points of [0, gamma] a module tabulates, about 270 bytes each
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,9 @@ class ValueModule:
         self.gamma = g = vec_check(gamma, r)
         if any(x < 0 for x in g):
             raise SingvalError(f"conductor exponent must be nonnegative, got {g}")
+        if (points := prod(x + 1 for x in g)) > BOX_POINTS_MAX:
+            raise EnumerationTooLarge(f"the box [0, {g}] holds {points} points, above the "
+                                      f"value-module ceiling of {BOX_POINTS_MAX}")
         if not isinstance(deg_offset, int):
             raise SingvalError(f"deg_offset must be an integer, got {deg_offset!r}")
         self.deg_offset = deg_offset

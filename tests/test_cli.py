@@ -409,18 +409,28 @@ def test_conductor_above_the_old_climb_is_found(capsys, tmp_path):
     assert (data["conductor"], data["delta"]) == ([80], 40)
 
 
-def test_coinciding_branches_hit_the_climb_ceiling(capsys, tmp_path):
-    # (t, t), (t^3, t^3): both branches are one curve, so no conductor exists
-    path = curve_file(tmp_path, 2, [[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]])
-    code, _, err = run(capsys, "info", path)
-    assert code == EXIT_RESOURCE
-    assert "climb ceiling of 128" in err
+def test_coinciding_branches_are_refused_at_load(capsys, tmp_path):
+    # (t, t), (t^3, t^3): both branches are one curve, so the ring is not
+    # reduced and has no conductor; every command refuses the file as input
+    for gens, pair in [
+        ([[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]], "0 and 1"),
+        ([[[[1, 1, 1]], [[2, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]], [[3, 1, 1]]]],
+         "0 and 2"),
+    ]:
+        path = curve_file(tmp_path, len(gens[0]), gens)
+        for argv in (["info"], ["ideal-info"], ["series"], ["verify"],
+                     ["count", "--q", "2", "--level", "16"]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert code == EXIT_INPUT, argv
+            assert not out
+            assert f"branches {pair} coincide" in err
 
 
 def test_verify_without_a_canonical_exits_at_the_climb_ceiling(capsys, tmp_path):
     # no canonical ideal, so value_set is the first to climb; a resource
-    # ceiling exits 3 as it does for info, not as a FAIL row
-    path = curve_file(tmp_path, 2, [[[[1, 1, 1]], [[1, 1, 1]]], [[[3, 1, 1]], [[3, 1, 1]]]])
+    # ceiling exits 3 as it does for info, not as a FAIL row.  t^13, t^15
+    # has conductor 12 * 14 = 168, above the climb ceiling
+    path = curve_file(tmp_path, 1, [[[[13, 1, 1]]], [[[15, 1, 1]]]])
     code, out, err = run(capsys, "verify", path)
     assert code == EXIT_RESOURCE
     assert "climb ceiling of 128" in err
@@ -431,13 +441,27 @@ def test_verify_builds_each_series_once_per_module(capsys, monkeypatch):
     built = Counter()
     for name in ("series_degrees", "series_cells", "series_poincare",
                  "series_proj_cells", "series_proj_poincare"):
-        def counting(vm, w, real=getattr(poincare, name), name=name):
+        def counting(vm, real=getattr(poincare, name), name=name):
             built[name, vm] += 1
-            return real(vm, w)
+            return real(vm)
         monkeypatch.setattr(poincare, name, counting)
     code, _, _ = run(capsys, "verify", corpus_file("node"), "--all-ideals")
     assert code == EXIT_OK
     assert built and max(built.values()) == 1, built
+
+
+@pytest.mark.parametrize("command", ["series", "verify"])
+def test_an_oversized_value_module_box_is_a_resource_error(capsys, tmp_path, command):
+    # members {0, gamma} pass every construction check, but the box [0, gamma]
+    # holds 10001^2 points, which the module would tabulate in full
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"mode": "value-module", "r": 2, "gamma": [10000, 10000],
+                                "members": [[0, 0], [10000, 10000]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_RESOURCE and not out
+    assert "100020001 points" in err and "ceiling of 262144" in err
 
 
 def test_count_needs_no_conductor(capsys, tmp_path):

@@ -23,6 +23,10 @@ MANIFEST = {
                              "--format", "json"],
     "series_node_json.txt": ["series", "corpus/node.json", "--which", "pg,lhat",
                              "--format", "json"],
+    "series_abstract_e8_all_q2_json.txt": ["series", "corpus/abstract_e8.json", "--which",
+                                           "a,lg,pg,lhat,phat", "--q", "2", "--format", "json"],
+    "series_node_all_q3.txt": ["series", "corpus/node.json", "--which", "a,lg,pg,lhat,phat",
+                               "--q", "3"],
     "ideal_info_345_can.txt": ["ideal-info", "corpus/semigroup345.json",
                                "--ideal", "can"],
     "verify_345_all.txt": ["verify", "corpus/semigroup345.json", "--all-ideals"],

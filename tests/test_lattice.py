@@ -1,15 +1,21 @@
-"""Tests for lattice windows and windowed coefficient tables over Z[L, 1/L],
-and for the windowed-series composition in wsref.py that the pointwise
+"""Tests for lattice boxes, the JSON form of a series on a window, and the
+windowed coefficient tables and composition in wsref.py that the pointwise
 identity checks are compared against."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from singval.errors import EmptyResultWindow, SingvalError, WindowNotCovered
-from singval.lattice import Window, WindowSeries, iter_box, ws_build, ws_to_json
+from singval.cli import ws_to_json
+from singval.errors import EmptyResultWindow, SingvalError
+from singval.lattice import Window, iter_box
 from singval.lefschetz import GC_ONE, GC_ZERO, gc_int, gc_monomial
 
-from wsref import eq_on, invert_vars, mul_monomial, mul_poly, scale_vars
+from wsref import (WindowNotCovered, WindowSeries, covers, eq_on, invert_vars, mul_monomial,
+                   mul_poly, scale_vars, ws_build)
+
+
+def corners(w):
+    return w.lo, w.hi
 
 
 def test_iter_box_lex_order():
@@ -23,8 +29,10 @@ def test_iter_box_lex_order():
 
 def test_window_validation():
     w = Window((0, -1), (2, 1))
-    assert (1, 0) in w and (0, -1) in w and (2, 1) in w
-    assert (3, 0) not in w and (1,) not in w
+    pts = list(w.points())
+    assert (pts[0], pts[-1], len(pts)) == ((0, -1), (2, 1), 9)
+    assert covers(w, (1, 0)) and covers(w, (0, -1)) and covers(w, (2, 1))
+    assert not covers(w, (3, 0)) and not covers(w, (1,))
     with pytest.raises(EmptyResultWindow):
         Window((0, 2), (3, 1))
     with pytest.raises(SingvalError):
@@ -54,7 +62,7 @@ def test_scale_vars():
 def test_invert_vars():
     s = ws_build(Window((1, 0), (2, 3)), lambda v: gc_int(10 * v[0] + v[1]))
     t = invert_vars(s)
-    assert t.window == Window((-2, -3), (-1, 0))
+    assert corners(t.window) == ((-2, -3), (-1, 0))
     assert t.coeff((-2, -3)) == gc_int(23)
     u = invert_vars(t)
     assert eq_on(s, u, s.window) is None
@@ -63,7 +71,7 @@ def test_invert_vars():
 def test_mul_monomial():
     s = ws_build(Window((0,), (2,)), lambda v: gc_int(v[0] + 1))
     t = mul_monomial(s, (5,), gc_monomial(1))
-    assert t.window == Window((5,), (7,))
+    assert corners(t.window) == ((5,), (7,))
     assert t.coeff((6,)) == gc_monomial(1, 2)
 
 
@@ -71,7 +79,7 @@ def test_mul_poly_matches_monomial_route():
     s = ws_build(Window((0, 0), (3, 3)), lambda v: gc_int(v[0] * v[1] + 1))
     a = mul_poly(s, {(1, 2): gc_monomial(1, 3)})
     b = mul_monomial(s, (1, 2), gc_monomial(1, 3))
-    assert a.window == b.window
+    assert corners(a.window) == corners(b.window)
     assert eq_on(a, b, a.window) is None
 
 
@@ -79,7 +87,7 @@ def test_mul_poly_window_shrinks():
     s = ws_build(Window((0,), (5,)), lambda v: gc_int(1))
     # (t - 1) * (1 + t + ... ) telescopes to 0 inside the window
     t = mul_poly(s, {(1,): GC_ONE, (0,): gc_int(-1)})
-    assert t.window == Window((1,), (5,))
+    assert corners(t.window) == ((1,), (5,))
     for v in t.window.points():
         assert t.coeff(v) == GC_ZERO
     with pytest.raises(EmptyResultWindow):
@@ -92,7 +100,7 @@ def test_mul_poly_geometric_series():
     # (1 - t) * sum t^v = 1 on [0, hi] when the series window starts at 0
     s = ws_build(Window((-1,), (6,)), lambda v: gc_int(1 if v[0] >= 0 else 0))
     t = mul_poly(s, {(0,): GC_ONE, (1,): gc_int(-1)})
-    assert t.window == Window((0,), (6,))
+    assert corners(t.window) == ((0,), (6,))
     assert t.coeff((0,)) == GC_ONE
     for k in range(1, 7):
         assert t.coeff((k,)) == GC_ZERO
@@ -112,14 +120,13 @@ def test_shift_then_unshift(lo, width, k):
     w = Window((lo,), (lo + width,))
     s = ws_build(w, lambda v: gc_int(v[0] ** 2))
     t = mul_monomial(mul_monomial(s, (k,)), (-k,))
-    assert t.window == w
+    assert corners(t.window) == corners(w)
     assert eq_on(s, t, w) is None
 
 
 def test_json_lists_every_point_in_order():
     w = Window((0, 0), (1, 1))
-    s = WindowSeries(w, {(1, 0): gc_int(2)})
-    data = ws_to_json(s)
+    data = ws_to_json(w, {v: gc_int(2) if v == (1, 0) else GC_ZERO for v in w.points()})
     assert [tuple(c["point"]) for c in data["coefficients"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert data["coefficients"][2]["class"] == [[0, "2"]]
     assert data["coefficients"][0]["class"] == []

@@ -1,4 +1,5 @@
-"""Windowed series builders and the duality/functional-equation verifiers."""
+"""Series builders (coefficient functions of v) and the
+duality/functional-equation verifiers."""
 
 from fractions import Fraction
 from math import comb
@@ -6,11 +7,12 @@ from math import comb
 import pytest
 
 from singval.algebra import dual, ring_ideal, value_set
+from singval.cli import EXIT_INPUT, main
 from singval.curve import BranchSeries, CurvePresentation
 from singval.errors import SingvalError
 from singval import poincare
-from singval.lattice import Window, WindowSeries
-from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_int, gc_monomial, gc_mul
+from singval.lattice import iter_box
+from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_eval_rational, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
     _table,
@@ -20,7 +22,6 @@ from singval.poincare import (
     series_poincare,
     series_proj_cells,
     series_proj_poincare,
-    specialize,
     verify_cell_functional_equation,
     verify_cell_poincare_bridge,
     verify_degree_duality,
@@ -35,7 +36,7 @@ from singval.poincare import (
 from singval.valuemodule import ValueModule
 
 import wsref
-from conftest import GORENSTEIN
+from conftest import CORPUS, GORENSTEIN
 
 
 def canonical_of(ci):
@@ -52,7 +53,7 @@ def dual_table(ci, b):
 
 def test_cusp_poincare_series(ring_vms):
     vm = ring_vms["cusp"]
-    s = series_poincare(vm, Window((-1,), (3,)))
+    s = series_poincare(vm)
     want = {
         (-1,): GC_ZERO,
         (0,): gc_monomial(-1),
@@ -61,49 +62,48 @@ def test_cusp_poincare_series(ring_vms):
         (3,): gc_monomial(-3),
     }
     for v, cls in want.items():
-        assert s.coeff(v) == cls, v
-    at2 = specialize(s, 2)
-    assert at2[(0,)] == Fraction(1, 2)
-    assert at2[(2,)] == Fraction(1, 4)
-    assert at2[(3,)] == Fraction(1, 8)
-    assert at2[(1,)] == 0
+        assert s(v) == cls, v
+    assert gc_eval_rational(s((0,)), 2) == Fraction(1, 2)
+    assert gc_eval_rational(s((2,)), 2) == Fraction(1, 4)
+    assert gc_eval_rational(s((3,)), 2) == Fraction(1, 8)
+    assert gc_eval_rational(s((1,)), 2) == 0
 
 
 def test_cusp_degree_and_cell_series(ring_vms):
     vm = ring_vms["cusp"]
-    w = Window((0,), (3,))
-    a = series_degrees(vm, w)
-    assert a.coeff((0,)) == GC_ONE
-    assert a.coeff((1,)) == gc_monomial(-1)
-    assert a.coeff((2,)) == gc_monomial(-1)
-    assert a.coeff((3,)) == gc_monomial(-2)
-    lg = series_cells(vm, w)
-    assert lg.coeff((0,)) == gc_add(GC_ONE, gc_monomial(-1, -1))
-    assert lg.coeff((1,)) == GC_ZERO
-    assert lg.coeff((2,)) == gc_add(gc_monomial(-1), gc_monomial(-2, -1))
+    a = series_degrees(vm)
+    assert a((0,)) == GC_ONE
+    assert a((1,)) == gc_monomial(-1)
+    assert a((2,)) == gc_monomial(-1)
+    assert a((3,)) == gc_monomial(-2)
+    lg = series_cells(vm)
+    assert lg((0,)) == gc_add(GC_ONE, gc_monomial(-1, -1))
+    assert lg((1,)) == GC_ZERO
+    assert lg((2,)) == gc_add(gc_monomial(-1), gc_monomial(-2, -1))
 
 
 def test_cusp_projective_series(ring_vms):
     vm = ring_vms["cusp"]
-    w = Window((0,), (2,))
-    lhat = series_proj_cells(vm, w)
-    assert lhat.coeff((0,)) == GC_ONE
-    assert lhat.coeff((1,)) == GC_ZERO
-    assert lhat.coeff((2,)) == GC_ONE
+    lhat = series_proj_cells(vm)
+    assert lhat((0,)) == GC_ONE
+    assert lhat((1,)) == GC_ZERO
+    assert lhat((2,)) == GC_ONE
 
 
 def test_poincare_vanishes_off_the_value_set(ideal_vms):
     for (name, iname), vm in ideal_vms.items():
-        s = series_poincare(vm, default_window(vm))
-        for v in s.window.points():
+        s = series_poincare(vm)
+        for v in default_window(vm).points():
             if not vm.member(v):
-                assert s.coeff(v).is_zero(), (name, iname, v)
+                assert s(v).is_zero(), (name, iname, v)
 
 
-def test_specialize_rejects_tiny_q(ring_vms):
-    s = series_poincare(ring_vms["cusp"], Window((0,), (2,)))
+def test_evaluation_at_L_rejects_tiny_q(ring_vms, capsys):
+    s = series_poincare(ring_vms["cusp"])
     with pytest.raises(SingvalError):
-        specialize(s, 1)
+        gc_eval_rational(s((0,)), 1)
+    assert main(["series", str(CORPUS / "cusp.json"), "--q", "1"]) == EXIT_INPUT
+    assert "specialization needs q >= 2, got 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- window policy
@@ -172,8 +172,9 @@ def test_pair_checks_reject_a_wrong_dual(ring_vms):
     assert degree.witness == ((2,), 1, 0)
     cells = verify_cell_functional_equation(vm, vm)
     assert not cells
-    assert cells.detail == "degree-series form fails at (2,)"
-    assert cells.witness == ((2,), gc_monomial(1), GC_ONE)
+    # its degree-series form is the degree pairing above, checked by that row
+    assert cells.detail == "cell-series form fails at (1,)"
+    assert cells.witness == ((1,), gc_add(gc_monomial(-1), gc_int(-1)), GC_ZERO)
     poincare = verify_poincare_functional_equation(vm, vm)
     assert not poincare
     assert poincare.detail == "functional equation fails at (1,)"
@@ -232,7 +233,14 @@ def test_poincare_fe_confirms_delta_for_ring_like(ring_vms):
 
 # ------------------------------------------------------- documented defects
 
-def test_projective_fe_series_form_fails_for_two_branches(ring_vms):
+def with_branches(rand_mods, one):
+    """The random staircases with r == 1 (one) or r >= 2, at least 40 of them."""
+    mods = [vm for vm in rand_mods if (vm.r == 1) == one]
+    assert len(mods) >= 40
+    return mods
+
+
+def test_projective_fe_series_form_fails_for_two_branches(ring_vms, rand_mods):
     # the residual comparison is not constant once r >= 2; see the README
     # deviations table for the one-coefficient witness
     for name in ["node", "tacnode"]:
@@ -243,29 +251,40 @@ def test_projective_fe_series_form_fails_for_two_branches(ring_vms):
         assert bad == (-2, 0)
         assert lhs.is_zero()
         assert rhs == GC_L_MINUS_1
+    # and on every random table with two branches, against its profile dual
+    for vm in with_branches(rand_mods, one=False):
+        assert not verify_proj_functional_equation(vm, vm.dual_from_jump_profile(),
+                                                   part="poincare"), vm
 
 
-def test_projective_fe_series_form_holds_for_one_branch(corpus, ring_vms):
+def test_projective_fe_series_form_holds_for_one_branch(corpus, ring_vms, rand_mods):
     vm = ring_vms["cusp"]
     assert verify_proj_functional_equation(vm, vm, part="poincare")
     ci = corpus["semigroup345"].curve_input
     vm_b = ring_vms["semigroup345"]
     vm_bstar = dual_table(ci, ring_ideal(ci.curve))
     assert verify_proj_functional_equation(vm_b, vm_bstar, part="poincare")
+    for vm in with_branches(rand_mods, one=True):
+        assert verify_proj_functional_equation(vm, vm.dual_from_jump_profile(),
+                                               part="poincare"), vm
 
 
-def test_projective_display_bridge_fails_for_two_branches(ring_vms):
+def test_projective_display_bridge_fails_for_two_branches(ring_vms, rand_mods):
     verdict = verify_proj_bridge_display(ring_vms["node"])
     assert not verdict
     bad, lhs, rhs = verdict.witness
     assert bad == (1, 1)
     assert lhs == gc_add(gc_int(2), gc_monomial(1, -1))
     assert rhs == gc_monomial(1)
+    for vm in with_branches(rand_mods, one=False):
+        assert not verify_proj_bridge_display(vm), vm
 
 
-def test_projective_display_bridge_holds_for_one_branch(ring_vms):
+def test_projective_display_bridge_holds_for_one_branch(ring_vms, rand_mods):
     for name in ["cusp", "e8", "semigroup345"]:
         assert verify_proj_bridge_display(ring_vms[name]), name
+    for vm in with_branches(rand_mods, one=True):
+        assert verify_proj_bridge_display(vm), vm
 
 
 def test_projective_fe_rejects_unknown_part(ring_vms):
@@ -300,9 +319,9 @@ def test_single_coefficient_corruption_is_detected(ring_vms, monkeypatch):
     vm = ring_vms["e8"]
     target = (5,)
 
-    def corrupted(vm, w):
-        s = series_poincare(vm, w)
-        return WindowSeries(w, {**s.coeffs, target: gc_add(s.coeff(target), GC_ONE)})
+    def corrupted(vm):
+        s = series_poincare(vm)
+        return lambda v: gc_add(s(v), GC_ONE) if v == target else s(v)
 
     monkeypatch.setattr(poincare, "series_poincare", corrupted)
     bad = verify_cell_poincare_bridge(vm)
@@ -335,7 +354,7 @@ def test_degree_offset_keys_the_table(ring_vms):
     shifted = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset + 1)
     a, b = _table(series_poincare, vm), _table(series_poincare, shifted)
     assert a is not b
-    assert b.coeffs == {v: gc_mul(gc_monomial(1), c) for v, c in a.coeffs.items()}
+    assert b == {v: gc_mul(gc_monomial(1), c) for v, c in a.items()}
 
 
 def test_a_non_gorenstein_ring_and_its_dual_keep_their_own_tables(corpus, ring_vms):
@@ -345,8 +364,8 @@ def test_a_non_gorenstein_ring_and_its_dual_keep_their_own_tables(corpus, ring_v
     # same conductor, different members and degree offset; then members alone
     same_degree = ValueModule(vm.r, vm.gamma, vm_star.members, deg_offset=vm.deg_offset)
     for build in TABLE_BUILDERS:
-        assert _table(build, vm_star).coeffs != _table(build, vm).coeffs
-        assert _table(build, same_degree).coeffs != _table(build, vm).coeffs
+        assert _table(build, vm_star) != _table(build, vm)
+        assert _table(build, same_degree) != _table(build, vm)
 
 
 def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
@@ -367,7 +386,7 @@ def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
             return out
 
         def tables():
-            return [dict(_table(build, m).coeffs) for build in TABLE_BUILDERS
+            return [dict(_table(build, m)) for build in TABLE_BUILDERS
                     for m in (vm, vm_star)]
 
         first, before = rows(), tables()
@@ -440,10 +459,9 @@ def _poincare_at_one(curve):
     """Nonzero coefficients of the ring's Poincare series at L = 1, on a
     window reaching gamma + 3."""
     vm = value_set(ring_ideal(curve))
-    w = Window((0,) * vm.r, tuple(g + 3 for g in vm.gamma))
-    at_one = {
-        v: sum(c._terms.values()) for v, c in series_poincare(vm, w).coeffs.items()
-    }
+    s = series_poincare(vm)
+    at_one = {v: sum(s(v)._terms.values())
+              for v in iter_box((0,) * vm.r, tuple(g + 3 for g in vm.gamma))}
     return {v: x for v, x in at_one.items() if x}
 
 

@@ -69,7 +69,6 @@ SHARED_NAMES = {
     "r": {
         "algebra.JetLayout.r": "algebra._cut_dims: layout.r",
         "curve.FracIdeal.r": "algebra.value_set: bn.r, and most ideal code",
-        "lattice.Window.r": "WindowSeries.__init__ and coeff: window.r",
     },
     "rank": {
         "algebra.JetSpace.rank": "algebra._trace_lengths and jet_rank_mod_q: jet_span(...).rank",
