@@ -38,7 +38,7 @@ from .algebra import (
 )
 from .curve import FracIdeal, ring_ideal
 from .errors import RESOURCE_ERRORS, EnumerationTooLarge, SchemaError, SingvalError
-from .lattice import Vec, Window
+from .lattice import Vec, iter_box
 from .lefschetz import GrothendieckClass, gc_eval_rational, gc_mul, gc_to_json, gc_to_text
 from .poincare import (
     GC_L_MINUS_1,
@@ -85,10 +85,10 @@ def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def ws_to_json(w: Window, table: dict[Vec, GrothendieckClass]) -> dict:
-    """A series' classes on w, every point (zeros included) in lex order."""
+def ws_to_json(lo: Vec, hi: Vec, table: dict[Vec, GrothendieckClass]) -> dict:
+    """A series' classes on [lo, hi], every point (zeros included) in lex order."""
     return {
-        "window": {"lo": list(w.lo), "hi": list(w.hi)},
+        "window": {"lo": list(lo), "hi": list(hi)},
         "coefficients": [{"point": list(v), "class": gc_to_json(c)} for v, c in table.items()],
     }
 
@@ -289,21 +289,21 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     if not which:
         raise SchemaError("no series requested")
 
-    w = default_window(vm, args.margin)
+    lo, hi = default_window(vm, args.margin)
     tables = {}
     for key in which:
         coeff = SERIES_BUILDERS[key](vm)
-        tables[key] = {v: coeff(v) for v in w.points()}
+        tables[key] = {v: coeff(v) for v in iter_box(lo, hi)}
     obj: dict = {
         "file": args.file,
         "ideal": ideal_name,
-        "window": {"lo": list(w.lo), "hi": list(w.hi)},
-        "series": {key: ws_to_json(w, table) for key, table in tables.items()},
+        "window": {"lo": list(lo), "hi": list(hi)},
+        "series": {key: ws_to_json(lo, hi, table) for key, table in tables.items()},
     }
     lines = [
         f"file: {args.file}",
         f"ideal: {ideal_name if ideal_name is not None else 'none (abstract input)'}",
-        f"window: {_fmt_vec(w.lo)} .. {_fmt_vec(w.hi)}",
+        f"window: {_fmt_vec(lo)} .. {_fmt_vec(hi)}",
     ]
     if args.q is not None:
         obj["q"] = args.q
@@ -512,12 +512,11 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     # vanishing below w are O(w) / O(N), so ell(w) = rank - cut(w) on [0, N],
     # which holds every v + S the window reads (the ring's degree offset is 0).
     cuts = jet_span(ring_ideal(curve), (args.level + 1,) * curve.r).cut_table()
-    w = Window((0,) * curve.r, (args.level - 1,) * curve.r)
     pg = series_poincare(SimpleNamespace(r=curve.r, deg_J=lambda v: cuts[v] - rank))
     scale = Fraction(args.q) ** rank
     table = []
     all_ok = True
-    for v in w.points():
+    for v in iter_box((0,) * curve.r, (args.level - 1,) * curve.r):
         counted = counts.get(v, 0)
         predicted = gc_eval_rational(gc_mul(GC_L_MINUS_1, pg(v)), args.q) * scale
         ok = predicted.denominator == 1 and predicted == counted

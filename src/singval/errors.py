@@ -16,10 +16,6 @@ class NotDivisible(SingvalError):
     """Exact division in Z[L, 1/L] left a remainder or a fractional quotient."""
 
 
-class EmptyResultWindow(SingvalError):
-    """A window operation produced a box with some hi < lo; no point survives."""
-
-
 class ZeroDivisor(SingvalError):
     """An element has an identically zero branch component, so it has no
     finite order vector there."""

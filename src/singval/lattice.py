@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import EmptyResultWindow, SingvalError
+from .errors import SingvalError
 
 Vec = tuple[int, ...]
 
@@ -13,7 +13,7 @@ Vec = tuple[int, ...]
 def vec_check(v: Iterable[int], r: int | None = None) -> Vec:
     t = tuple(v)
     for x in t:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not (type(x) is int or (isinstance(x, int) and not isinstance(x, bool))):
             raise TypeError(f"lattice point entries must be int, got {x!r}")
     if r is not None and len(t) != r:
         raise SingvalError(f"expected a point of Z^{r}, got length {len(t)}")
@@ -45,21 +45,3 @@ def iter_box(lo: Vec, hi: Vec) -> Iterator[Vec]:
     if len(lo) != len(hi):
         raise SingvalError("box corners have different dimensions")
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-
-
-class Window:
-    """A nonempty box [lo, hi] in Z^r, both corners included."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Iterable[int], hi: Iterable[int]):
-        self.lo = vec_check(lo)
-        self.hi = vec_check(hi, len(self.lo))
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise EmptyResultWindow(f"window [{self.lo}, {self.hi}] contains no point")
-
-    def points(self) -> Iterator[Vec]:
-        return iter_box(self.lo, self.hi)
-
-    def __repr__(self) -> str:
-        return f"Window({list(self.lo)}, {list(self.hi)})"

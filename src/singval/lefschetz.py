@@ -17,18 +17,19 @@ MAX_EXPONENT = 10**6
 
 class GrothendieckClass:
     """An element of Z[L, 1/L] in canonical form: nonzero int coefficients
-    by decreasing exponent.  The constructor is the one place that enforces
-    it, so the gc_* functions below hand it raw sums."""
+    by decreasing exponent, each |exponent| at most MAX_EXPONENT.  The
+    constructor checks every term it is given; the gc_* results, whose terms
+    are ints by construction, come from _trusted, which keeps form and cap."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] = {}):
         for e, c in terms.items():
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not (type(e) is int or (isinstance(e, int) and not isinstance(e, bool))):
                 raise TypeError(f"exponent must be int, got {type(e).__name__}")
             if abs(e) > MAX_EXPONENT:
                 raise SingvalError(f"exponent {e} exceeds the safety cap {MAX_EXPONENT}")
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not (type(c) is int or (isinstance(c, int) and not isinstance(c, bool))):
                 raise TypeError(f"coefficient must be int, got {type(c).__name__}")
         self._terms = dict(sorted(((e, c) for e, c in terms.items() if c), reverse=True))
 
@@ -57,6 +58,19 @@ class GrothendieckClass:
         return gc_to_text(self)
 
 
+def _trusted(terms: dict[int, int]) -> GrothendieckClass:
+    """A class from int terms computed out of existing classes.  Drops zero
+    coefficients, sorts, and checks the cap on the two extreme exponents
+    only: after the sort every other exponent lies between them."""
+    out = object.__new__(GrothendieckClass)
+    out._terms = t = dict(sorted(((e, c) for e, c in terms.items() if c), reverse=True))
+    if t:
+        for e in (next(iter(t)), next(reversed(t))):
+            if abs(e) > MAX_EXPONENT:
+                raise SingvalError(f"exponent {e} exceeds the safety cap {MAX_EXPONENT}")
+    return out
+
+
 GC_ZERO = GrothendieckClass()
 GC_ONE = GrothendieckClass({0: 1})
 
@@ -74,7 +88,7 @@ def gc_add(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
     out = dict(a._terms)
     for e, c in b._terms.items():
         out[e] = out.get(e, 0) + c
-    return GrothendieckClass(out)
+    return _trusted(out)
 
 
 def gc_mul(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
@@ -83,7 +97,7 @@ def gc_mul(a: GrothendieckClass, b: GrothendieckClass) -> GrothendieckClass:
         for eb, cb in b._terms.items():
             e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
-    return GrothendieckClass(out)
+    return _trusted(out)
 
 
 def gc_div_exact(a: GrothendieckClass) -> GrothendieckClass:
@@ -103,12 +117,12 @@ def gc_div_exact(a: GrothendieckClass) -> GrothendieckClass:
     for (e, c), (nxt, _) in zip(up, up[1:]):
         run -= c
         quo.update(dict.fromkeys(range(e, nxt), run))
-    return GrothendieckClass(quo)
+    return _trusted(quo)
 
 
 def gc_invert_L(a: GrothendieckClass) -> GrothendieckClass:
     """Substitute L -> 1/L (exponent sign flip)."""
-    return GrothendieckClass({-e: c for e, c in a._terms.items()})
+    return _trusted({-e: c for e, c in a._terms.items()})
 
 
 def gc_eval_rational(a: GrothendieckClass, q: int) -> Fraction:

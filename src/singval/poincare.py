@@ -24,7 +24,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import SingvalError
-from .lattice import Vec, Window, iter_box, ones, vec_add, vec_sub
+from .lattice import Vec, iter_box, ones, vec_add, vec_sub
 from .lefschetz import (
     GC_ONE,
     GC_ZERO,
@@ -112,16 +112,20 @@ def series_proj_cells(vm: ValueModule) -> Coeff:
 
 
 def series_proj_poincare(vm: ValueModule) -> Coeff:
-    """Alternating sum of projectivized quotient classes along axis shifts."""
+    """Alternating sum of projectivized quotient classes along axis shifts,
+    sum of sign * (L^g - 1)/(L - 1) with g = ell(v + 1) - ell(v + 1_S) over
+    the subsets S of the axes.  The 2^r signs sum to 0 for r >= 1, so the
+    -1 terms cancel and the sum is (sum of sign * L^g)/(L - 1): one
+    inclusion-exclusion of monomials and one exact division, as in
+    series_poincare."""
     one = ones(vm.r)
 
     def coeff(v: Vec) -> GrothendieckClass:
         top = vm.ell(vec_add(v, one))
         acc = GC_ZERO
         for sign, ind in _subsets(vm.r):
-            piece = _proj_class(top - vm.ell(vec_add(v, ind)))
-            acc = gc_add(acc, piece if sign > 0 else gc_mul(gc_int(-1), piece))
-        return acc
+            acc = gc_add(acc, gc_monomial(top - vm.ell(vec_add(v, ind)), sign))
+        return gc_div_exact(acc)
 
     return coeff
 
@@ -129,8 +133,9 @@ def series_proj_poincare(vm: ValueModule) -> Coeff:
 # -- window policy -------------------------------------------------------------
 
 
-def default_window(vm: ValueModule, pad: int = 2) -> Window:
-    return Window(ones(vm.r, -pad), vec_add(vm.gamma, ones(vm.r, pad)))
+def default_window(vm: ValueModule, pad: int = 2) -> tuple[Vec, Vec]:
+    """The corners of [-pad, gamma + pad], never empty for pad >= 0."""
+    return ones(vm.r, -pad), vec_add(vm.gamma, ones(vm.r, pad))
 
 
 @lru_cache(maxsize=TABLES_KEPT)
@@ -156,14 +161,14 @@ def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
     return None
 
 
-def _agree(w: Window, lhs: Callable[[Vec], object], rhs: Callable[[Vec], object],
+def _agree(w: tuple[Vec, Vec], lhs: Callable[[Vec], object], rhs: Callable[[Vec], object],
            holds: str, fails: str) -> Verdict:
-    """Compare lhs(v) with rhs(v) at every point of w in lex order.
+    """Compare lhs(v) with rhs(v) at every point of the box w = (lo, hi) in lex order.
 
     Fails at the first point v where they differ, with detail
     fails.format(v=v) and witness (v, lhs(v), rhs(v)).
     """
-    for v in w.points():
+    for v in iter_box(*w):
         a, b = lhs(v), rhs(v)
         if a != b:
             return Verdict(False, fails.format(v=v), witness=(v, a, b))
@@ -213,7 +218,7 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r),
                              _table(series_cells, vm).__getitem__),
                   partial(_times, right, _table(series_poincare, vm).__getitem__),
-                  f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
+                  f"bridge holds on {w[0]}..{w[1]}", "bridge mismatch")
 
 
 def verify_degree_duality(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
@@ -359,7 +364,7 @@ def verify_proj_functional_equation(
     def residual(v: Vec) -> GrothendieckClass:
         return gc_add(ser_b[vec_sub(base, v)], gc_mul(factor, gc_invert_L(ser_s[v])))
 
-    first = residual(w.lo)
+    first = residual(w[0])
     if part == "poincare":
         return _agree(w, residual, lambda v: first, "poincare residual constant",
                       "poincare residual is not constant at {v}")
@@ -381,7 +386,7 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     ph, pc = _table(series_proj_poincare, vm), _table(series_proj_cells, vm)
     return _agree(w, partial(_times, poly_full_shift_minus_one(vm.r), ph.__getitem__),
                   partial(_times, poly_prod_t_minus_one(vm.r), pc.__getitem__),
-                  f"display bridge holds on {w.lo}..{w.hi}", "display bridge mismatch")
+                  f"display bridge holds on {w[0]}..{w[1]}", "display bridge mismatch")
 
 
 def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:

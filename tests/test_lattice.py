@@ -1,17 +1,17 @@
 """Tests for lattice boxes, the JSON form of a series on a window, and the
-windowed coefficient tables and composition in wsref.py that the pointwise
-identity checks are compared against."""
+windows, windowed coefficient tables and composition in wsref.py that the
+pointwise identity checks are compared against."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from singval.cli import ws_to_json
-from singval.errors import EmptyResultWindow, SingvalError
-from singval.lattice import Window, iter_box
+from singval.errors import SingvalError
+from singval.lattice import iter_box
 from singval.lefschetz import GC_ONE, GC_ZERO, gc_int, gc_monomial
 
-from wsref import (WindowNotCovered, WindowSeries, covers, eq_on, invert_vars, mul_monomial,
-                   mul_poly, scale_vars, ws_build)
+from wsref import (EmptyResultWindow, Window, WindowNotCovered, WindowSeries, covers, eq_on,
+                   invert_vars, mul_monomial, mul_poly, scale_vars, ws_build)
 
 
 def corners(w):
@@ -125,8 +125,8 @@ def test_shift_then_unshift(lo, width, k):
 
 
 def test_json_lists_every_point_in_order():
-    w = Window((0, 0), (1, 1))
-    data = ws_to_json(w, {v: gc_int(2) if v == (1, 0) else GC_ZERO for v in w.points()})
+    lo, hi = (0, 0), (1, 1)
+    data = ws_to_json(lo, hi, {v: gc_int(2) if v == (1, 0) else GC_ZERO for v in iter_box(lo, hi)})
     assert [tuple(c["point"]) for c in data["coefficients"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert data["coefficients"][2]["class"] == [[0, "2"]]
     assert data["coefficients"][0]["class"] == []

@@ -10,6 +10,7 @@ from singval.errors import NotDivisible, SingvalError
 from singval.lefschetz import (
     GC_ONE,
     GC_ZERO,
+    MAX_EXPONENT,
     GrothendieckClass,
     gc_add,
     gc_div_exact,
@@ -108,6 +109,56 @@ def test_equal_classes_hash_equal(a, b):
 def test_exponent_cap():
     with pytest.raises(SingvalError):
         GrothendieckClass({10**7: 1})
+
+
+# -- the gc_* results skip the public constructor's checks ---------------------
+
+
+def _as_if_checked(x: GrothendieckClass) -> None:
+    """x is what the public constructor makes of x's own terms: equal, with
+    the same hash and the same canonical term order."""
+    y = GrothendieckClass(dict(x._terms))
+    assert x == y and hash(x) == hash(y)
+    assert list(x._terms.items()) == list(y._terms.items())
+    assert all(type(e) is int and type(c) is int and c for e, c in x._terms.items())
+
+
+@given(classes, classes)
+def test_trusted_results_are_canonical(a, b):
+    for x in (gc_add(a, b), gc_add(a, gc_mul(gc_int(-1), a)), gc_mul(a, b), gc_invert_L(a),
+              gc_div_exact(gc_mul(a, L_MINUS_1)), gc_div_exact(gc_mul(gc_mul(a, b), L_MINUS_1))):
+        _as_if_checked(x)
+
+
+def test_trusted_results_keep_the_exponent_cap():
+    top, bottom = gc_monomial(MAX_EXPONENT), gc_monomial(-MAX_EXPONENT)
+    _as_if_checked(gc_mul(top, gc_monomial(-1)))
+    _as_if_checked(gc_invert_L(gc_add(top, bottom)))
+    for a, b in [(top, gc_monomial(1)), (bottom, gc_monomial(-1)),
+                 (gc_add(top, GC_ONE), gc_add(gc_monomial(3), gc_monomial(-2))),
+                 (gc_add(GC_ONE, bottom), gc_add(gc_monomial(-1), gc_monomial(-2))),
+                 (gc_add(top, bottom), gc_add(gc_monomial(1), gc_monomial(-1)))]:
+        with pytest.raises(SingvalError, match="safety cap"):
+            gc_mul(a, b)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+def test_public_constructors_refuse_bool_and_float(bad):
+    for make in (lambda: GrothendieckClass({bad: 1}), lambda: GrothendieckClass({1: bad}),
+                 lambda: gc_int(bad), lambda: gc_monomial(bad), lambda: gc_monomial(1, bad)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_public_constructors_accept_int_subclasses():
+    assert GrothendieckClass({_Int(2): _Int(3)}) == gc_monomial(2, 3)
+    assert gc_int(_Int(-4)) == gc_int(-4) and gc_monomial(_Int(1), _Int(5)) == gc_monomial(1, 5)
+    with pytest.raises(SingvalError, match="safety cap"):
+        GrothendieckClass({_Int(MAX_EXPONENT + 1): 0})
 
 
 @given(classes, classes)

@@ -11,8 +11,9 @@ from singval.cli import EXIT_INPUT, main
 from singval.curve import BranchSeries, CurvePresentation
 from singval.errors import SingvalError
 from singval import poincare
-from singval.lattice import iter_box
-from singval.lefschetz import GC_ONE, GC_ZERO, gc_add, gc_eval_rational, gc_int, gc_monomial, gc_mul
+from singval.lattice import iter_box, vec_add
+from singval.lefschetz import (GC_ONE, GC_ZERO, gc_add, gc_div_exact, gc_eval_rational, gc_int,
+                               gc_monomial, gc_mul)
 from singval.poincare import (
     GC_L_MINUS_1,
     _table,
@@ -93,7 +94,7 @@ def test_cusp_projective_series(ring_vms):
 def test_poincare_vanishes_off_the_value_set(ideal_vms):
     for (name, iname), vm in ideal_vms.items():
         s = series_poincare(vm)
-        for v in default_window(vm).points():
+        for v in iter_box(*default_window(vm)):
             if not vm.member(v):
                 assert s(v).is_zero(), (name, iname, v)
 
@@ -109,9 +110,7 @@ def test_evaluation_at_L_rejects_tiny_q(ring_vms, capsys):
 # ---------------------------------------------------------- window policy
 
 def test_default_window_pads_the_conductor(ring_vms):
-    w = default_window(ring_vms["tacnode"])
-    assert w.lo == (-2, -2)
-    assert w.hi == (4, 4)
+    assert default_window(ring_vms["tacnode"]) == ((-2, -2), (4, 4))
 
 
 def test_pair_check_gamma_mismatch(ring_vms):
@@ -435,6 +434,55 @@ def test_pointwise_verifiers_match_the_windowed_reference(corpus, ideal_vms, ran
             assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness)
             seen[got.ok] += 1
     assert seen[True] > 100 and seen[False] > 100, seen
+
+
+# ------------------------------------ one division per projectivized coefficient
+
+def _proj_poincare_by_pieces(vm):
+    """The form with one division per subset: each projectivized quotient
+    class (L^g - 1)/(L - 1) divided on its own, then the signed sum."""
+    one = (1,) * vm.r
+
+    def coeff(v):
+        top = vm.ell(vec_add(v, one))
+        acc = GC_ZERO
+        for mask in range(1 << vm.r):
+            ind = tuple(mask >> i & 1 for i in range(vm.r))
+            g = top - vm.ell(vec_add(v, ind))
+            piece = gc_div_exact(gc_add(gc_monomial(g), gc_int(-1)))
+            acc = gc_add(acc, piece if sum(ind) % 2 == 0 else gc_mul(gc_int(-1), piece))
+        return acc
+
+    return coeff
+
+
+def _one_division_modules(corpus, ideal_vms, rand_mods):
+    return [*ideal_vms.values(), *rand_mods, corpus["abstract_e8"].value_module,
+            value_set(ring_ideal(_ordinary_point(3)))]
+
+
+def test_one_division_matches_the_division_per_subset(corpus, ideal_vms, rand_mods):
+    for vm in _one_division_modules(corpus, ideal_vms, rand_mods):
+        got, want = series_proj_poincare(vm), _proj_poincare_by_pieces(vm)
+        for v in iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma)):
+            assert got(v) == want(v), (vm, v)
+
+
+def test_each_poincare_coefficient_divides_once(corpus, ideal_vms, rand_mods, monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return gc_div_exact(a)
+
+    monkeypatch.setattr(poincare, "gc_div_exact", counted)
+    for vm in _one_division_modules(corpus, ideal_vms, rand_mods):
+        for build in (series_poincare, series_proj_poincare):
+            coeff = build(vm)
+            for v in iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma)):
+                calls.clear()
+                coeff(v)
+                assert len(calls) == 1, (build.__name__, vm, v)
 
 
 # ------------------------------------------------- closed forms at L = 1

@@ -85,6 +85,33 @@ def test_membership_clips_into_the_box():
     assert not vm.member((-1,))
 
 
+class _Int(int):
+    pass
+
+
+QUERIES = {
+    "member": lambda vm, v: vm.member(v),
+    "c_partial": lambda vm, v: vm.c_partial(v, 1),
+    "c_total": lambda vm, v: vm.c_total(v),
+    "ell": lambda vm, v: vm.ell(v),
+    "deg_J": lambda vm, v: vm.deg_J(v),
+    "delta_any": lambda vm, v: vm.delta_any(v),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_queries_check_the_point_they_are_given(query):
+    ask, vm = QUERIES[query], vm_tacnode()
+    for v in iter_box((-1, -1), (3, 3)):
+        assert ask(vm, list(v)) == ask(vm, tuple(_Int(x) for x in v)) == ask(vm, v)
+    for bad in [(True, 0), (1, False), (1.0, 0), (0, 0.5), ("1", 0)]:
+        with pytest.raises(TypeError):
+            ask(vm, bad)
+    for bad in [(), (0,), (1, 1, 1)]:
+        with pytest.raises(SingvalError):
+            ask(vm, bad)
+
+
 def test_c_partial_matches_its_witness_definition():
     vm = vm_tacnode()
     for v in iter_box((-1, -1), (3, 3)):

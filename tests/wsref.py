@@ -8,17 +8,17 @@ only where both sides cover the window.  It shares the series builders, the
 multipliers and the window policy with the library, not the comparison, so
 the two shapes must give the same Verdict.
 
-A WindowSeries records the exact coefficient of t^v for every v in one box;
-points outside the box are unknown, not zero, and reading one raises
-WindowNotCovered.
+A WindowSeries records the exact coefficient of t^v for every v in one box,
+a Window; points outside the box are unknown, not zero, and reading one
+raises WindowNotCovered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from singval.errors import EmptyResultWindow, SingvalError
-from singval.lattice import Vec, Window, ones, vec_add, vec_check, vec_neg, vec_sub
+from singval.errors import SingvalError
+from singval.lattice import Vec, iter_box, ones, vec_add, vec_check, vec_neg, vec_sub
 from singval.lefschetz import GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_int, gc_monomial, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
@@ -37,8 +37,30 @@ from singval.poincare import (
 from singval.valuemodule import ValueModule, Verdict, ring_like
 
 
+class EmptyResultWindow(SingvalError):
+    """A window operation produced a box with some hi < lo; no point survives."""
+
+
 class WindowNotCovered(SingvalError):
     """A coefficient or a comparison was asked for outside the known box."""
+
+
+class Window:
+    """A nonempty box [lo, hi] in Z^r, both corners included."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Iterable[int], hi: Iterable[int]):
+        self.lo = vec_check(lo)
+        self.hi = vec_check(hi, len(self.lo))
+        if any(h < l for l, h in zip(self.lo, self.hi)):
+            raise EmptyResultWindow(f"window [{self.lo}, {self.hi}] contains no point")
+
+    def points(self) -> Iterator[Vec]:
+        return iter_box(self.lo, self.hi)
+
+    def __repr__(self) -> str:
+        return f"Window({list(self.lo)}, {list(self.hi)})"
 
 
 def covers(w: Window, v: Vec) -> bool:
@@ -137,8 +159,8 @@ def boxes(vm: ValueModule) -> tuple[Window, Window]:
     """The window [-2, gamma + 2] an identity is checked on, and the box
     [-3, gamma + 2] its operands are built on: one point lower on every axis,
     the reach of a multiplier with support in {0, 1}^r."""
-    w = default_window(vm)
-    return w, Window(vec_sub(w.lo, ones(vm.r)), w.hi)
+    lo, hi = default_window(vm)
+    return Window(lo, hi), Window(vec_sub(lo, ones(vm.r)), hi)
 
 
 def reflected_agree(
