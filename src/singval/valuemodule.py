@@ -12,6 +12,7 @@ test and the self-duality criteria read those two tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import prod
 from typing import Iterable
 
@@ -101,14 +102,17 @@ class ValueModule:
             if not any(v[i] == 0 for v in self.members):
                 raise SingvalError(
                     f"not normalized: no member has coordinate {i} equal to 0")
-        # closure under componentwise min, which every valued module satisfies
+        # closure under componentwise min, which every valued module satisfies.
+        # A box point whose r jumps are all 1 is the min of one witness per
+        # axis, and every jump at min(a, b) is 1 (a or b is the witness), so
+        # the table is min-closed exactly when every such point is a member.
         mem = self.members
-        for a in mem:
-            for b in mem:
-                m = tuple(min(x, y) for x, y in zip(a, b))
-                if m not in mem:
-                    raise SingvalError(
-                        f"not min-closed: {a} and {b} are members but {m} is not")
+        for v, jumps in self._jumps.items():
+            if all(jumps) and v not in mem:
+                ws = sorted({min(w for w in mem if w[i] == v[i] and _geq(w, v))
+                             for i in range(self.r)})
+                raise SingvalError(f"not min-closed: {v} is the componentwise min of "
+                                   f"the members {', '.join(map(str, ws))} but is not one")
         # gamma must be the *minimal* conductor: one step below it in any
         # coordinate, the jump in that coordinate is still zero (always, if gamma_i = 0)
         for i in range(self.r):
@@ -303,30 +307,29 @@ class ValueModule:
         value where they agree).  Chain-order independence of the jump
         counts and the duality mirrors all rest on it; tables that fail it
         are outside the theory even when min-closed and normalized.
+
+        Read off the jump table, where c(p, i) = 1 exactly when some member
+        q has q_i = p_i and q >= p.  Let m = min(v, w), a member by
+        min-closure.  A completing u exists exactly when c(m + 1_i, j) = 1
+        for every j where v and w differ: u is a witness for each such j,
+        and the min of one witness per j is a u.  A pair of members sharing
+        coordinate i, with min m and differing at j, exists exactly when
+        c(m + 1_j, i) = 1 (m and the witness).  So the axiom holds exactly
+        when c(m + 1_j, i) <= c(m + 1_i, j) for every member m and axes
+        i != j.  A member outside the box has the same two jumps as its clip
+        into it, or a right-hand side of 1, so the box members suffice.
         """
-        hi = tuple(g + 2 for g in self.gamma)
-        pts = [v for v in iter_box((0,) * self.r, hi) if self.member(v)]
-        for v in pts:
-            for w in pts:
-                if v == w:
-                    continue
-                shared = [i for i in range(self.r) if v[i] == w[i] and v[i] <= self.gamma[i]]
-                for i in shared:
-                    if any(
-                        u[i] > v[i]
-                        and all(
-                            u[j] == min(v[j], w[j]) if v[j] != w[j] else u[j] >= v[j]
-                            for j in range(self.r)
-                            if j != i
-                        )
-                        for u in pts
-                    ):
-                        continue
+        for m in self.members_sorted():
+            ups = [tuple(x + (k == a) for k, x in enumerate(m)) for a in range(self.r)]
+            for i, j in permutations(range(self.r), 2):
+                if self.c_partial(ups[j], i) > self.c_partial(ups[i], j):
+                    w = next(w for w in self.members_sorted()
+                             if w[i] == m[i] and w[j] > m[j] and _geq(w, m))
                     return Verdict(
                         False,
-                        f"members {v} and {w} share coordinate {i} "
+                        f"members {m} and {w} share coordinate {i} "
                         "but nothing completes them above it",
-                        (v, w, i),
+                        (m, w, i),
                     )
         return Verdict(True, "completion axiom holds on the box")
 
@@ -372,6 +375,11 @@ class ValueModule:
             f"ValueModule(r={self.r}, gamma={list(self.gamma)}, "
             f"{len(self.members)} box members, deg_offset={self.deg_offset})"
         )
+
+
+def _geq(a: Vec, b: Vec) -> bool:
+    """Componentwise a >= b."""
+    return all(x >= y for x, y in zip(a, b))
 
 
 def ring_like(vm: ValueModule) -> bool:

@@ -157,8 +157,7 @@ def test_unknown_ideal_is_input_error(capsys):
 
 
 def test_abstract_file_rejected_where_a_curve_is_needed(capsys, monkeypatch):
-    # refused before the table is parsed: its O(n^3) well-formedness gate
-    # takes a minute on the ordinary 5-fold table
+    # refused before the table is parsed, so its well-formedness gate never runs
     gated = []
     monkeypatch.setattr(ValueModule, "is_good", lambda vm: gated.append(vm))
     for argv in (["info"], ["ideal-info"], ["count", "--q", "2", "--level", "3"]):

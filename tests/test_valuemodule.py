@@ -1,5 +1,11 @@
 """Staircase combinatorics: jumps, codimension, symmetry, self-duality."""
 
+import ast
+import importlib
+import random
+import re
+import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -10,9 +16,10 @@ from singval.curve import ring_ideal
 from singval.errors import SingvalError
 from singval.lattice import iter_box
 from singval.poincare import verify_jump_duality
+from singval.schemas import parse_value_module
 from singval.valuemodule import ValueModule, ring_like
 
-from conftest import chain_total, pairing_report
+from conftest import ROOT, chain_total, pairing_report
 
 
 def vm345_can():
@@ -355,6 +362,109 @@ def test_goodness_accepts_known_value_sets(rand_mods):
     assert vm345_can().is_good()
     for vm in rand_mods[:20]:
         assert vm.is_good()
+
+
+def _reference_min_closed(members):
+    """The pair scan _validate ran before it read the jump table: the first
+    members a, b whose componentwise min m is missing, as (a, b, m)."""
+    mem = frozenset(members)
+    for a in mem:
+        for b in mem:
+            m = tuple(min(x, y) for x, y in zip(a, b))
+            if m not in mem:
+                return a, b, m
+    return None
+
+
+def _completes(pts, v, w, i):
+    """Is some u in pts strictly above v and w at coordinate i, equal to
+    their min where they differ and at least their value where they agree?"""
+    return any(
+        u[i] > v[i]
+        and all(u[j] == min(v[j], w[j]) if v[j] != w[j] else u[j] >= v[j]
+                for j in range(len(v)) if j != i)
+        for u in pts
+    )
+
+
+def _window_members(vm):
+    return [v for v in iter_box((0,) * vm.r, tuple(g + 2 for g in vm.gamma)) if vm.member(v)]
+
+
+def _reference_is_good(vm):
+    """The O(n^3) member scan is_good ran before it read the jump table:
+    the first uncompletable (v, w, i) over the members of [0, gamma + 2]."""
+    pts = _window_members(vm)
+    for v in pts:
+        for w in pts:
+            if v == w:
+                continue
+            for i in range(vm.r):
+                if v[i] == w[i] and v[i] <= vm.gamma[i] and not _completes(pts, v, w, i):
+                    return v, w, i
+    return None
+
+
+def _random_table(rng, r, cap):
+    """(gamma, members) with gamma a member and minimal (no gamma - 1_i is a
+    member) and every axis normalized; closed under min half the time."""
+    gamma = tuple(rng.randint(1, cap) for _ in range(r))
+    below = {tuple(g - (k == i) for k, g in enumerate(gamma)) for i in range(r)}
+    box = [v for v in iter_box((0,) * r, gamma) if v not in below]
+    density = rng.random()
+    pts = {v for v in box if rng.random() < density} | {gamma}
+    pts |= {rng.choice([v for v in box if v[i] == 0]) for i in range(r)}
+    if rng.random() < 0.5:
+        todo = list(pts)
+        while todo:
+            a = todo.pop()
+            for b in list(pts):
+                if (m := tuple(map(min, a, b))) not in pts:
+                    pts.add(m)
+                    todo.append(m)
+    return gamma, sorted(pts)
+
+
+def test_jump_table_axioms_match_the_member_scans():
+    rng = random.Random(20261021)
+    seen = Counter()
+    for r, n, cap in ((2, 150, 4), (3, 100, 2), (4, 40, 1)):
+        for _ in range(n):
+            gamma, members = _random_table(rng, r, cap)
+            closed = _reference_min_closed(members) is None
+            try:
+                vm = ValueModule(r, gamma, members)
+            except SingvalError as exc:
+                # the refusal names a missing point and members whose min it is
+                found = re.fullmatch(r"not min-closed: (\(.*?\)) is the componentwise min "
+                                     r"of the members (.*) but is not one", str(exc))
+                assert found, exc
+                point, named = ast.literal_eval(found[1]), ast.literal_eval(f"[{found[2]}]")
+                assert point not in members and set(named) <= set(members), exc
+                assert tuple(map(min, *named)) == point, exc
+                assert not closed, (gamma, members)
+                seen[r, "not min-closed"] += 1
+                continue
+            assert closed, (gamma, members)
+            good = vm.is_good()
+            assert bool(good) is (_reference_is_good(vm) is None), (gamma, members)
+            seen[r, "good" if good else "not good"] += 1
+            if not good:
+                m, w, i = good.witness
+                assert m != w and m[i] == w[i] and {m, w} <= vm.members, good
+                assert not _completes(_window_members(vm), m, w, i), good
+    for r in (2, 3, 4):
+        assert all(seen[r, kind] for kind in ("good", "not good", "not min-closed")), seen
+
+
+def test_the_ordinary_5_fold_table_parses_quickly(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    fam = importlib.import_module("families")
+    doc = fam.ordinary_table(5, random.Random(5)).data
+    start = time.perf_counter()
+    vm = parse_value_module(doc)
+    assert time.perf_counter() - start < 5.0
+    assert vm.gamma == (4,) * 5 and len(vm.members) == 95
 
 
 # -- randomized one-branch tables, direct definition ------------------------------------
