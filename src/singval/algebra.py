@@ -88,9 +88,9 @@ class RowSpaceQ:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row: Sequence) -> tuple[list[int], Fraction]:
-        """(v, s): the integer vector v that vanishes on every pivot column,
-        with s * v in row + span (s is 1 mod p).  Rows are zero before their
+    def _reduce(self, row: Sequence) -> tuple[list[int], int, int]:
+        """(v, num, den): the integer vector v that vanishes on every pivot column,
+        with num/den * v in row + span (1 mod p).  Rows are zero before their
         pivot, so clearing pivot pc by a unit step leaves v[:pc] alone."""
         if len(row) != self.ncols:
             raise SingvalError(f"row has {len(row)} entries, space has {self.ncols} columns")
@@ -109,10 +109,11 @@ class RowSpaceQ:
                 g = gcd(*v)
                 v = [a // g for a in v]
                 num, den = num * g, den * d
-        return [x % p for x in v] if p else v, Fraction(num, den)
+        return [x % p for x in v] if p else v, num, den
 
     def residual(self, row: Sequence) -> list:
-        v, s = self._reduce(row)
+        v, num, den = self._reduce(row)
+        s = Fraction(num, den)
         return v if s == 1 else [s * x if x else 0 for x in v]
 
     def contains(self, row: Sequence) -> bool:

@@ -10,23 +10,25 @@ its coefficient function v -> GrothendieckClass:
 * series_proj_poincare -- alternating projectivized version
 
 The verify_* functions re-check the structural identities tying the series
-to each other and to a dual module, each as an exact pointwise comparison
-on the one window [-2, gamma + 2], a product read one coefficient at a time.
-They report a Verdict; they never assume an identity to build data.  Two
-display-shaped identities are known to fail (see the README's deviations table): the
-projectivized bridge in verify_proj_bridge_display, and the constancy clause
-of the projectivized Poincare functional equation for two or more branches.
+to each other and to a dual module, each exactly on the one window
+[-2, gamma + 2]: series products on whole flat tables of packed ints
+(_table), degrees and jumps point by point.  They report a Verdict; they
+never assume an identity to build data.  Two display-shaped identities are
+known to fail (see the README's deviations table): the projectivized bridge
+in verify_proj_bridge_display, and the constancy clause of the projectivized
+Poincare functional equation for two or more branches.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import Callable
 
-from .errors import SingvalError
+from .errors import EnumerationTooLarge, SingvalError
 from .lattice import Vec, iter_box, ones, vec_add, vec_sub
 from .lefschetz import (
-    GC_ONE,
+    DIGIT_BITS,
     GC_ZERO,
     GrothendieckClass,
     gc_add,
@@ -34,13 +36,15 @@ from .lefschetz import (
     gc_int,
     gc_invert_L,
     gc_monomial,
-    gc_mul,
+    gc_pack,
+    gc_unpack,
 )
 from .valuemodule import ValueModule, Verdict, ring_like
 
 GC_L_MINUS_1 = GrothendieckClass({1: 1, 0: -1})
 Coeff = Callable[[Vec], GrothendieckClass]
-TABLES_KEPT = 64  # series tables _table keeps; a verify run reads four per module
+Packed = tuple[int, list[int]]  # (e0, one gc_pack int per point of a flat box)
+TABLES_KEPT = 64  # series tables _table keeps; a verify run reads six per module
 
 
 def _subsets(r: int):
@@ -48,24 +52,6 @@ def _subsets(r: int):
     for mask in range(1 << r):
         ind = tuple(1 if mask >> i & 1 else 0 for i in range(r))
         yield (-1) ** sum(ind), ind
-
-
-# -- polynomial multipliers ----------------------------------------------------
-
-
-def poly_prod_t_minus_one(r: int) -> dict[Vec, GrothendieckClass]:
-    """The product of (t_i - 1) over all axes."""
-    return {ind: gc_int((-1) ** (r - sum(ind))) for _, ind in _subsets(r)}
-
-
-def poly_weighted_shift_minus_one(r: int, d: int) -> dict[Vec, GrothendieckClass]:
-    """L^d t_1 ... t_r - 1."""
-    return {ones(r): gc_monomial(d), ones(r, 0): gc_int(-1)}
-
-
-def poly_prod_one_minus_L_t(r: int) -> dict[Vec, GrothendieckClass]:
-    """The product of (1 - L t_i) over all axes."""
-    return {ind: gc_monomial(sum(ind), sign) for sign, ind in _subsets(r)}
 
 
 # -- series builders -----------------------------------------------------------
@@ -133,14 +119,40 @@ def default_window(vm: ValueModule, pad: int = 2) -> tuple[Vec, Vec]:
     return ones(vm.r, -pad), vec_add(vm.gamma, ones(vm.r, pad))
 
 
+def _box(vm: ValueModule):
+    """[-3, gamma + 2]: the window one lower per axis, a multiplier's reach."""
+    return iter_box(ones(vm.r, -3), vec_add(vm.gamma, ones(vm.r, 2)))
+
+
 @lru_cache(maxsize=TABLES_KEPT)
-def _table(build: Callable[[ValueModule], Coeff], vm: ValueModule) -> dict[Vec, GrothendieckClass]:
-    """build(vm) at every point of [-3, gamma + 2]: the check window one point
-    lower on every axis, the reach of a multiplier with support in {0, 1}^r.
-    Keyed by the module's content, so equal modules share one table; rows
-    only read it, and a read outside the box raises KeyError."""
-    coeff = build(vm)
-    return {v: coeff(v) for v in iter_box(ones(vm.r, -3), vec_add(vm.gamma, ones(vm.r, 2)))}
+def _grid(gamma: Vec) -> tuple[list[int], list[int], list[int]]:
+    """The flat _box in iter_box order (last axis fastest): each axis's stride,
+    the flat indices of the window in lex order, and |v| at every point."""
+    strides, win, deg = [], [0], [0]
+    for g in gamma:
+        n = g + 6
+        strides = [s * n for s in strides] + [1]
+        win = [i * n + c for i in win for c in range(1, n)]
+        deg = [d + c for d in deg for c in range(-3, g + 3)]
+    return strides, win, deg
+
+
+@lru_cache(maxsize=TABLES_KEPT)
+def _table(build: Callable[[ValueModule], Coeff], vm: ValueModule, invert: bool = False) -> Packed:
+    """gc_pack of build(vm) (of its gc_invert_L with invert) on _box(vm), keyed
+    by the module's content; rows only read it.  A row side sums at most
+    2^(r + 1) coefficients, so bit_length(max |c|) + r + 4 <= DIGIT_BITS."""
+    if invert:
+        e0, xs = _table(build, vm)
+        classes = [gc_invert_L(gc_unpack(x, e0)) for x in xs]
+    else:
+        coeff = build(vm)
+        classes = [coeff(v) for v in _box(vm)]
+    e0, big, xs = gc_pack(classes)
+    if (need := big.bit_length() + vm.r + 4) > DIGIT_BITS:
+        raise EnumerationTooLarge(f"series table {build.__name__}: coefficients need {need} "
+                                  f"bits per packed digit, above the bound of {DIGIT_BITS}")
+    return e0, xs
 
 
 def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
@@ -170,31 +182,49 @@ def _agree(w: tuple[Vec, Vec], lhs: Callable[[Vec], object], rhs: Callable[[Vec]
     return Verdict(True, holds)
 
 
-def _times(poly: dict[Vec, GrothendieckClass], coeff: Coeff, v: Vec) -> GrothendieckClass:
-    """The coefficient at v of poly * S, where coeff reads S."""
-    acc = GC_ZERO
-    for u, c in poly.items():
-        acc = gc_add(acc, gc_mul(c, coeff(vec_sub(v, u))))
-    return acc
+def _compare(vm: ValueModule, lhs: Packed, rhs: Packed, holds: str, fails: str) -> Verdict:
+    """_agree for packed sides on the window, aligned at the lower e0; the
+    witness decodes both at the first point that differs."""
+    (ea, a), (eb, b) = lhs, rhs
+    sa, sb = DIGIT_BITS * (ea - min(ea, eb)), DIGIT_BITS * (eb - min(ea, eb))
+    for v, i in zip(iter_box(*default_window(vm)), _grid(vm.gamma)[1]):
+        if a[i] << sa != b[i] << sb:
+            return Verdict(False, fails.format(v=v),
+                           witness=(v, gc_unpack(a[i], ea), gc_unpack(b[i], eb)))
+    return Verdict(True, holds)
 
 
-def _reflected_agree(
-    build: Callable[[ValueModule], Coeff],
-    vm_b: ValueModule, vm_bstar: ValueModule,
-    left: dict[Vec, GrothendieckClass], right: dict[Vec, GrothendieckClass],
+def _step(side: Packed, s: int, c: int = 0, sign: int = 1) -> Packed:
+    """sign * (L^c t^u - 1) * side, t^u moving entries s flat positions on:
+    exact wherever the predecessor lies in the box, as on the window."""
+    e0, xs = side
+    k = DIGIT_BITS * c
+    prev = chain(repeat(0, s), xs)
+    if sign > 0:
+        return e0, [(b << k) - a for a, b in zip(xs, prev)]
+    return e0, [a - (b << k) for a, b in zip(xs, prev)]
+
+
+def _axes(side: Packed, vm: ValueModule, c: int = 0, sign: int = 1) -> Packed:
+    """prod_i sign * (L^c t_i - 1) * side: r passes, not 2^r terms per point."""
+    for s in _grid(vm.gamma)[0]:
+        side = _step(side, s, c, sign)
+    return side
+
+
+def _reflected(
+    build: Callable[[ValueModule], Coeff], vm_b: ValueModule, vm_bstar: ValueModule,
+    left: Callable[[Packed], Packed], right: Callable[[Packed], Packed],
     k: int, holds: str, fails: str,
 ) -> Verdict:
-    """left * S_b(L o t) == L^k t^(gamma - 1) * right * S_bstar(1/t) on the
-    window, with S = build read from both modules' tables.  At x, S_b(L o t)
-    has L^|x| S_b(x), so the left side at v is L^|v| times the v-th coefficient
-    of (L^-|u| left_u) * S_b; t^(gamma - 1) S_bstar(1/t) has S_bstar(gamma - 1 - x)."""
-    s_b, s_bstar = _table(build, vm_b), _table(build, vm_bstar)
-    base = vec_sub(vm_b.gamma, ones(vm_b.r))
-    left = {u: gc_mul(gc_monomial(-sum(u)), c) for u, c in left.items()}
-    right = {u: gc_mul(gc_monomial(k), c) for u, c in right.items()}
-    return _agree(default_window(vm_b),
-                  lambda v: gc_mul(gc_monomial(sum(v)), _times(left, s_b.__getitem__, v)),
-                  partial(_times, right, lambda x: s_bstar[vec_sub(base, x)]), holds, fails)
+    """left(S_b(L o t)) == L^k t^(gamma - 1) right(S_bstar(1/t)) on the window,
+    S = build.  S_b(L o t) has L^|x| S_b(x): each entry moves up |x| + 3r >= 0
+    digits.  t^(gamma - 1) S_bstar(1/t) has S_bstar(gamma - 1 - x), and
+    x -> gamma - 1 - x maps the box onto itself: the flat table reversed."""
+    (e0, xs), (f0, ys) = _table(build, vm_b), _table(build, vm_bstar)
+    r3 = 3 * vm_b.r
+    scaled = [x << DIGIT_BITS * (d + r3) for x, d in zip(xs, _grid(vm_b.gamma)[2])]
+    return _compare(vm_b, left((e0 - r3, scaled)), right((f0 + k, ys[::-1])), holds, fails)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -209,11 +239,9 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     branch.
     """
     w = default_window(vm)
-    right = {u: gc_mul(GC_L_MINUS_1, c) for u, c in poly_weighted_shift_minus_one(vm.r, 0).items()}
-    return _agree(w, partial(_times, poly_prod_t_minus_one(vm.r),
-                             _table(series_cells, vm).__getitem__),
-                  partial(_times, right, _table(series_poincare, vm).__getitem__),
-                  f"bridge holds on {w[0]}..{w[1]}", "bridge mismatch")
+    rhs = _step(_step(_table(series_poincare, vm), 0, 1), sum(_grid(vm.gamma)[0]))
+    return _compare(vm, _axes(_table(series_cells, vm), vm), rhs,
+                    f"bridge holds on {w[0]}..{w[1]}", "bridge mismatch")
 
 
 def verify_degree_duality(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict:
@@ -251,11 +279,12 @@ def verify_cell_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) ->
     """
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    r = d = vm_b.r
+    d = vm_b.r
     m = vm_b.ell(vm_b.gamma)
-    return _reflected_agree(
+    total = sum(_grid(vm_b.gamma)[0])
+    return _reflected(
         series_cells, vm_b, vm_bstar,
-        {ones(r, 0): GC_ONE, ones(r): gc_int(-1)}, poly_weighted_shift_minus_one(r, d),
+        lambda side: _step(side, total, 0, -1), lambda side: _step(side, total, d),
         m - d, f"both forms hold with factor exponent {m} - {d}", "cell-series form fails at {v}",
     )
 
@@ -271,12 +300,12 @@ def verify_poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule
     """
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    r = d = vm_b.r
+    d = vm_b.r
     m = vm_b.ell(vm_b.gamma)
     detail = f"holds with factor exponent {m - d}"
-    verdict = _reflected_agree(
+    verdict = _reflected(
         series_poincare, vm_b, vm_bstar,
-        poly_prod_t_minus_one(r), poly_prod_one_minus_L_t(r),
+        lambda side: _axes(side, vm_b), lambda side: _axes(side, vm_b, 1, -1),
         m - d, detail, "functional equation fails at {v}",
     )
     if not verdict:
@@ -340,27 +369,23 @@ def verify_proj_functional_equation(
         raise SingvalError(f"unknown part {part!r}")
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
-    w = default_window(vm_b)
-    r = vm_b.r
-    d = r
-    base = vec_sub(vm_b.gamma, ones(r))
-    build = series_proj_cells if part == "cells" else series_proj_poincare
-    factor = gc_monomial(d - 1, 1 if part == "cells" else -((-1) ** r))
-    ser_b, ser_s = _table(build, vm_b), _table(build, vm_bstar)
-
-    def residual(v: Vec) -> GrothendieckClass:
-        return gc_add(ser_b[vec_sub(base, v)], gc_mul(factor, gc_invert_L(ser_s[v])))
-
-    first = residual(w[0])
-    if part == "poincare":
-        return _agree(w, residual, lambda v: first, "poincare residual constant",
-                      "poincare residual is not constant at {v}")
-    verdict = _agree(w, residual, lambda v: first,
-                     "cell residual constant and equal to (L^d - 1)/(L - 1)",
-                     "cell residual is not constant at {v}")
-    if verdict and first != _proj_class(d):
+    d, cells = vm_b.r, part == "cells"
+    build = series_proj_cells if cells else series_proj_poincare
+    # residual(v) = S_b(gamma - 1 - v) + sign L^(d - 1) invert_L(S_bstar(v)): the
+    # reflection reverses the flat table, and both terms align at the lower exponent
+    sign = 1 if cells else -((-1) ** d)
+    (e0, xs), (f0, ys) = _table(build, vm_b), _table(build, vm_bstar, True)
+    o = min(e0, f0 + d - 1)
+    sa, sb = DIGIT_BITS * (e0 - o), DIGIT_BITS * (f0 + d - 1 - o)
+    res = [(x << sa) + sign * (y << sb) for x, y in zip(reversed(xs), ys)]
+    first = res[_grid(vm_b.gamma)[1][0]]
+    verdict = _compare(vm_b, (o, res), (o, [first] * len(res)),
+                       "cell residual constant and equal to (L^d - 1)/(L - 1)" if cells
+                       else "poincare residual constant",
+                       f"{'cell' if cells else 'poincare'} residual is not constant at {{v}}")
+    if cells and verdict and (const := gc_unpack(first, o)) != _proj_class(d):
         return Verdict(
-            False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
+            False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(const,)
         )
     return verdict
 
@@ -370,10 +395,9 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     * proj_cells.  True for one branch; fails for two or more (a known
     defect of the display; kept verbatim and reported, never used)."""
     w = default_window(vm)
-    ph, pc = _table(series_proj_poincare, vm), _table(series_proj_cells, vm)
-    return _agree(w, partial(_times, poly_weighted_shift_minus_one(vm.r, 0), ph.__getitem__),
-                  partial(_times, poly_prod_t_minus_one(vm.r), pc.__getitem__),
-                  f"display bridge holds on {w[0]}..{w[1]}", "display bridge mismatch")
+    return _compare(vm, _step(_table(series_proj_poincare, vm), sum(_grid(vm.gamma)[0])),
+                    _axes(_table(series_proj_cells, vm), vm),
+                    f"display bridge holds on {w[0]}..{w[1]}", "display bridge mismatch")
 
 
 def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
@@ -381,30 +405,21 @@ def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
 
         proj_poincare(v) * L^(deg_J(v + 1)) == poincare(v).
     """
-    w = default_window(vm)
     one = ones(vm.r)
-    ph = _table(series_proj_poincare, vm)
-    pg = _table(series_poincare, vm)
-    return _agree(
-        w,
-        lambda v: gc_mul(ph[v], gc_monomial(vm.deg_J(vec_add(v, one)))),
-        pg.__getitem__,
-        "affine bridge holds pointwise",
-        "affine bridge fails at {v}",
-    )
+    e0, ph = _table(series_proj_poincare, vm)
+    degs = [vm.deg_J(vec_add(v, one)) for v in _box(vm)]
+    lo = min(degs)
+    lhs = (e0 + lo, [x << DIGIT_BITS * (g - lo) for x, g in zip(ph, degs)])
+    return _compare(vm, lhs, _table(series_poincare, vm),
+                    "affine bridge holds pointwise", "affine bridge fails at {v}")
 
 
 def verify_proj_support(vm: ValueModule) -> Verdict:
     """Nonzero projectivized Poincare coefficients only over members."""
-    w = default_window(vm)
-    ph = _table(series_proj_poincare, vm)
-    return _agree(
-        w,
-        ph.__getitem__,
-        lambda v: ph[v] if vm.member(v) else GC_ZERO,
-        "support contained in the value set",
-        "nonzero coefficient over a non-member {v}",
-    )
+    e0, ph = _table(series_proj_poincare, vm)
+    kept = [x if not x or vm.member(v) else 0 for x, v in zip(ph, _box(vm))]
+    return _compare(vm, (e0, ph), (e0, kept), "support contained in the value set",
+                    "nonzero coefficient over a non-member {v}")
 
 
 def verify_gorenstein_tail_identity(vm: ValueModule) -> Verdict:

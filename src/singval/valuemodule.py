@@ -12,6 +12,7 @@ test and the self-duality criteria read those two tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import prod
 from typing import Iterable
@@ -382,13 +383,14 @@ def _geq(a: Vec, b: Vec) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=64)
 def ring_like(vm: ValueModule) -> bool:
-    """Does the box table contain 0 and close under clipped addition?"""
-    z = (0,) * vm.r
-    if z not in vm.members:
+    """Does the box table contain 0 and close under clipped addition?  Keyed
+    by the module's content; the sum is symmetric, so each unordered pair of
+    members is tried once."""
+    mem, g = vm.members, vm.gamma
+    if (0,) * vm.r not in mem:
         return False
-    for a in vm.members:
-        for b in vm.members:
-            if not vm.member(tuple(x + y for x, y in zip(a, b))):
-                return False
-    return True
+    ms = list(mem)
+    return all(tuple(min(x + y, c) for x, y, c in zip(a, b, g)) in mem
+               for i, a in enumerate(ms) for b in ms[i:])

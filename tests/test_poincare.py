@@ -1,19 +1,20 @@
 """Series builders (coefficient functions of v) and the
 duality/functional-equation verifiers."""
 
+import importlib
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from singval.algebra import dual, ring_ideal, value_set
-from singval.cli import EXIT_INPUT, main
+from singval.cli import EXIT_INPUT, EXIT_RESOURCE, main
 from singval.curve import BranchSeries, CurvePresentation
-from singval.errors import SingvalError
+from singval.errors import EnumerationTooLarge, SingvalError
 from singval import poincare
 from singval.lattice import iter_box, vec_add
 from singval.lefschetz import (GC_ONE, GC_ZERO, gc_add, gc_div_exact, gc_eval_rational, gc_int,
-                               gc_monomial, gc_mul)
+                               gc_invert_L, gc_monomial, gc_mul, gc_unpack)
 from singval.poincare import (
     GC_L_MINUS_1,
     _table,
@@ -37,7 +38,7 @@ from singval.poincare import (
 from singval.valuemodule import ValueModule
 
 import wsref
-from conftest import CORPUS, GORENSTEIN
+from conftest import CORPUS, GORENSTEIN, ROOT
 
 
 def canonical_of(ci):
@@ -353,7 +354,37 @@ def test_degree_offset_keys_the_table(ring_vms):
     shifted = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset + 1)
     a, b = _table(series_poincare, vm), _table(series_poincare, shifted)
     assert a is not b
-    assert b == {v: gc_mul(gc_monomial(1), c) for v, c in a.items()}
+    # the packed ints are those of vm's table; the least exponent moves up by 1
+    assert b == (a[0] + 1, a[1])
+
+
+def test_a_table_decodes_to_its_series(corpus, ideal_vms, rand_mods):
+    vms = [*ideal_vms.values(), *rand_mods[:20], corpus["abstract_e8"].value_module]
+    for vm in vms:
+        box = list(iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma)))
+        for build in TABLE_BUILDERS:
+            coeff = build(vm)
+            (e0, xs), (f0, ys) = _table(build, vm), _table(build, vm, True)
+            assert len(xs) == len(ys) == len(box)
+            for v, x, y in zip(box, xs, ys):
+                assert gc_unpack(x, e0) == coeff(v), (build.__name__, vm, v)
+                assert gc_unpack(y, f0) == gc_invert_L(coeff(v)), (build.__name__, vm, v)
+
+
+def test_a_table_past_the_digit_bound_exits_3(ring_vms, monkeypatch, capsys):
+    # every real table fits the 32-bit digits many times over; with 6-bit
+    # digits the r = 2 tacnode needs 1 + 2 + 4 = 7 bits and is refused
+    _table.cache_clear()
+    monkeypatch.setattr(poincare, "DIGIT_BITS", 6)
+    with pytest.raises(EnumerationTooLarge, match="need 7 bits .* bound of 6"):
+        _table(series_cells, ring_vms["tacnode"])
+    assert main(["verify", str(CORPUS / "tacnode.json")]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: resource ceiling: series table series_poincare: coefficients "
+                   "need 7 bits per packed digit, above the bound of 6\n")
+    monkeypatch.undo()
+    _table.cache_clear()
 
 
 def test_a_non_gorenstein_ring_and_its_dual_keep_their_own_tables(corpus, ring_vms):
@@ -385,8 +416,8 @@ def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
             return out
 
         def tables():
-            return [dict(_table(build, m)) for build in TABLE_BUILDERS
-                    for m in (vm, vm_star)]
+            return [(e0, list(xs)) for build in TABLE_BUILDERS for m in (vm, vm_star)
+                    for e0, xs in (_table(build, m), _table(build, m, True))]
 
         first, before = rows(), tables()
         assert rows() == first, name  # Verdict equality covers detail and witness
@@ -420,20 +451,48 @@ def reference_pairs(corpus, ideal_vms, rand_mods):
     return pairs
 
 
-def test_pointwise_verifiers_match_the_windowed_reference(corpus, ideal_vms, rand_mods):
+def extra_reference_pairs(corpus, monkeypatch):
+    """The ordinary 3- and 4-fold tables of the benchmark, each with its
+    profile dual (itself), and a module with deg_offset 10^5 with its dual
+    (shifted by -10^5), with itself and with the unshifted module."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    families = importlib.import_module("families")
+    pairs = []
+    for r in (3, 4):
+        vm = ValueModule(r, (r - 1,) * r, families.ordinary_members(r))
+        pairs.append((vm, vm.dual_from_jump_profile()))
+    base = corpus["semigroup345"].curve_input
+    vm, vm_star = value_set(ring_ideal(base.curve)), dual_table(base, ring_ideal(base.curve))
+    big = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset + 10**5)
+    big_star = ValueModule(vm.r, vm.gamma, vm_star.members, deg_offset=vm_star.deg_offset - 10**5)
+    return pairs + [(big, big_star), (big_star, big), (big, big), (big, vm), (vm, big)]
+
+
+def test_pointwise_verifiers_match_the_windowed_reference(corpus, ideal_vms, rand_mods,
+                                                          monkeypatch):
+    """Every packed row gives the Verdict of its class-valued reference."""
     seen = {True: 0, False: 0}
-    for vm_b, vm_bstar in reference_pairs(corpus, ideal_vms, rand_mods):
-        for got, want in [
-            (verify_cell_poincare_bridge(vm_b), wsref.cell_poincare_bridge(vm_b)),
-            (verify_proj_bridge_display(vm_b), wsref.proj_bridge_display(vm_b)),
-            (verify_cell_functional_equation(vm_b, vm_bstar),
-             wsref.cell_functional_equation(vm_b, vm_bstar)),
-            (verify_poincare_functional_equation(vm_b, vm_bstar),
-             wsref.poincare_functional_equation(vm_b, vm_bstar)),
-        ]:
-            assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness)
-            seen[got.ok] += 1
-    assert seen[True] > 100 and seen[False] > 100, seen
+
+    def check(got, want):
+        assert (got.ok, got.detail, got.witness) == (want.ok, want.detail, want.witness)
+        seen[got.ok] += 1
+
+    pairs = (reference_pairs(corpus, ideal_vms, rand_mods)
+             + extra_reference_pairs(corpus, monkeypatch))
+    for vm in dict.fromkeys(vm for pair in pairs for vm in pair):
+        check(verify_cell_poincare_bridge(vm), wsref.cell_poincare_bridge(vm))
+        check(verify_proj_bridge_display(vm), wsref.proj_bridge_display(vm))
+        check(verify_proj_affine_bridge(vm), wsref.proj_affine_bridge(vm))
+        check(verify_proj_support(vm), wsref.proj_support(vm))
+    for vm_b, vm_bstar in pairs:
+        check(verify_cell_functional_equation(vm_b, vm_bstar),
+              wsref.cell_functional_equation(vm_b, vm_bstar))
+        check(verify_poincare_functional_equation(vm_b, vm_bstar),
+              wsref.poincare_functional_equation(vm_b, vm_bstar))
+        for part in ("cells", "poincare"):
+            check(verify_proj_functional_equation(vm_b, vm_bstar, part=part),
+                  wsref.proj_functional_equation(vm_b, vm_bstar, part=part))
+    assert seen[True] > 200 and seen[False] > 200, seen
 
 
 # ------------------------------------ one division per projectivized coefficient

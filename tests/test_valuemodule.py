@@ -6,7 +6,7 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +455,45 @@ def test_jump_table_axioms_match_the_member_scans():
                 assert not _completes(_window_members(vm), m, w, i), good
     for r in (2, 3, 4):
         assert all(seen[r, kind] for kind in ("good", "not good", "not min-closed")), seen
+
+
+def _reference_ring_like(vm):
+    """The scan ring_like ran before it was cached: every ordered pair of
+    members, each clipped sum through vm.member."""
+    z = (0,) * vm.r
+    if z not in vm.members:
+        return False
+    for a in vm.members:
+        for b in vm.members:
+            if not vm.member(tuple(x + y for x, y in zip(a, b))):
+                return False
+    return True
+
+
+def _wedge(gens, conductor):
+    """{0} u (S+ x S+) for the numerical semigroup S = <gens> of that conductor."""
+    table = [True] + [False] * conductor
+    for v in range(1, conductor + 1):
+        table[v] = any(v >= a and table[v - a] for a in gens)
+    pos = [v for v in range(1, conductor + 1) if table[v]]
+    return ValueModule(2, (conductor, conductor), [(0, 0), *product(pos, pos)])
+
+
+def test_ring_like_matches_the_ordered_pair_scan(corpus, ideal_vms, rand_mods):
+    wedge = _wedge((9, 11), 80)
+    assert len(wedge.members) == 1601
+    vms = [*ideal_vms.values(), *rand_mods, corpus["abstract_e8"].value_module, wedge]
+    seen = Counter(ring_like(vm) for vm in vms)
+    assert all(ring_like(vm) is _reference_ring_like(vm) for vm in vms)
+    assert ring_like(wedge) and seen[True] > 10 and seen[False] > 10, seen
+
+
+def test_ring_like_scans_each_module_once():
+    vm = _wedge((3, 5), 8)
+    twin = ValueModule(vm.r, vm.gamma, vm.members)
+    ring_like.cache_clear()
+    assert ring_like(vm) and ring_like(twin) and ring_like(vm)
+    assert (ring_like.cache_info().misses, ring_like.cache_info().hits) == (1, 2)
 
 
 def test_the_ordinary_5_fold_table_parses_quickly(monkeypatch):

@@ -1,12 +1,15 @@
-"""Windowed-series composition: the reference for the pointwise verifiers.
+"""References for the packed verifiers in singval.poincare.
 
-The cross-multiplied identities in singval.poincare are checked one product
-coefficient at a time.  This module keeps the other shape, whole
-intermediate series built by substitution, shift and polynomial
-multiplication, each on the largest box it still determines, and compared
-only where both sides cover the window.  It shares the series builders, the
-multipliers and the window policy with the library, not the comparison, so
-the two shapes must give the same Verdict.
+The library checks every series identity on flat tables of Kronecker-packed
+ints.  This module keeps two other shapes over GrothendieckClass values.
+The cross-multiplied identities are composed from whole windowed series,
+built by substitution, shift and polynomial multiplication, each on the
+largest box it still determines, and compared only where both sides cover
+the window.  The pointwise identities (the projectivized functional
+equation, the affine bridge and the support) are compared one class at a
+time through poincare._agree.  Both share the series builders and the window
+policy with the library, not the comparison, so each must give the same
+Verdict as the library row.
 
 A WindowSeries records the exact coefficient of t^v for every v in one box,
 a Window; points outside the box are unknown, not zero, and reading one
@@ -15,25 +18,42 @@ raises WindowNotCovered.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from singval.errors import SingvalError
 from singval.lattice import Vec, iter_box, ones, vec_add, vec_check, vec_neg, vec_sub
-from singval.lefschetz import GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_int, gc_monomial, gc_mul
+from singval.lefschetz import (GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_int,
+                               gc_invert_L, gc_monomial, gc_mul)
 from singval.poincare import (
     GC_L_MINUS_1,
     Coeff,
+    _agree,
     _pair_check,
+    _proj_class,
+    _subsets,
     default_window,
-    poly_prod_one_minus_L_t,
-    poly_prod_t_minus_one,
-    poly_weighted_shift_minus_one,
     series_cells,
     series_poincare,
     series_proj_cells,
     series_proj_poincare,
 )
 from singval.valuemodule import ValueModule, Verdict, ring_like
+
+
+def poly_prod_t_minus_one(r: int) -> dict[Vec, GrothendieckClass]:
+    """The product of (t_i - 1) over all axes."""
+    return {ind: gc_int((-1) ** (r - sum(ind))) for _, ind in _subsets(r)}
+
+
+def poly_weighted_shift_minus_one(r: int, d: int) -> dict[Vec, GrothendieckClass]:
+    """L^d t_1 ... t_r - 1."""
+    return {ones(r): gc_monomial(d), ones(r, 0): gc_int(-1)}
+
+
+def poly_prod_one_minus_L_t(r: int) -> dict[Vec, GrothendieckClass]:
+    """The product of (1 - L t_i) over all axes."""
+    return {ind: gc_monomial(sum(ind), sign) for sign, ind in _subsets(r)}
 
 
 class EmptyResultWindow(SingvalError):
@@ -162,23 +182,35 @@ def boxes(vm: ValueModule) -> tuple[Window, Window]:
     return Window(lo, hi), Window(vec_sub(lo, ones(vm.r)), hi)
 
 
+@lru_cache(maxsize=64)
+def table(build: Callable[[ValueModule], Coeff], vm: ValueModule) -> dict[Vec, GrothendieckClass]:
+    """build(vm) at every point of the operand box [-3, gamma + 2]; the
+    references of one module pair share it."""
+    coeff = build(vm)
+    return {v: coeff(v) for v in boxes(vm)[1].points()}
+
+
+def built(build: Callable[[ValueModule], Coeff], vm: ValueModule) -> WindowSeries:
+    return WindowSeries(boxes(vm)[1], table(build, vm))
+
+
 def reflected_agree(
     build: Callable[[ValueModule], Coeff],
     vm_b: ValueModule, vm_bstar: ValueModule,
     left: dict, right: dict, k: int, holds: str, fails: str,
 ) -> Verdict:
-    w, pad = boxes(vm_b)
+    w = boxes(vm_b)[0]
     r = vm_b.r
-    lhs = mul_poly(scale_vars(ws_build(pad, build(vm_b)), ones(r)), left)
-    rhs = mul_monomial(mul_poly(invert_vars(ws_build(pad, build(vm_bstar))), right),
+    lhs = mul_poly(scale_vars(built(build, vm_b), ones(r)), left)
+    rhs = mul_monomial(mul_poly(invert_vars(built(build, vm_bstar)), right),
                        vec_sub(vm_b.gamma, ones(r)), gc_monomial(k))
     return series_agree(w, lhs, rhs, holds, fails)
 
 
 def cell_poincare_bridge(vm: ValueModule) -> Verdict:
-    w, pad = boxes(vm)
-    lhs = mul_poly(ws_build(pad, series_cells(vm)), poly_prod_t_minus_one(vm.r))
-    rhs = mul_poly(scale_class(ws_build(pad, series_poincare(vm)), GC_L_MINUS_1),
+    w = boxes(vm)[0]
+    lhs = mul_poly(built(series_cells, vm), poly_prod_t_minus_one(vm.r))
+    rhs = mul_poly(scale_class(built(series_poincare, vm), GC_L_MINUS_1),
                    poly_weighted_shift_minus_one(vm.r, 0))
     return series_agree(w, lhs, rhs, f"bridge holds on {w.lo}..{w.hi}", "bridge mismatch")
 
@@ -214,8 +246,53 @@ def poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) -> Ve
 
 
 def proj_bridge_display(vm: ValueModule) -> Verdict:
-    w, pad = boxes(vm)
-    lhs = mul_poly(ws_build(pad, series_proj_poincare(vm)), poly_weighted_shift_minus_one(vm.r, 0))
-    rhs = mul_poly(ws_build(pad, series_proj_cells(vm)), poly_prod_t_minus_one(vm.r))
+    w = boxes(vm)[0]
+    lhs = mul_poly(built(series_proj_poincare, vm), poly_weighted_shift_minus_one(vm.r, 0))
+    rhs = mul_poly(built(series_proj_cells, vm), poly_prod_t_minus_one(vm.r))
     return series_agree(w, lhs, rhs, f"display bridge holds on {w.lo}..{w.hi}",
                         "display bridge mismatch")
+
+
+# -- the pointwise rows, one class at a time ----------------------------------------
+
+
+def proj_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule, *, part: str) -> Verdict:
+    if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
+        return bad_pair
+    w = default_window(vm_b)
+    d = vm_b.r
+    base = vec_sub(vm_b.gamma, ones(d))
+    build = series_proj_cells if part == "cells" else series_proj_poincare
+    factor = gc_monomial(d - 1, 1 if part == "cells" else -((-1) ** d))
+    ser_b, ser_s = table(build, vm_b), table(build, vm_bstar)
+
+    def residual(v: Vec) -> GrothendieckClass:
+        return gc_add(ser_b[vec_sub(base, v)], gc_mul(factor, gc_invert_L(ser_s[v])))
+
+    first = residual(w[0])
+    if part == "poincare":
+        return _agree(w, residual, lambda v: first, "poincare residual constant",
+                      "poincare residual is not constant at {v}")
+    verdict = _agree(w, residual, lambda v: first,
+                     "cell residual constant and equal to (L^d - 1)/(L - 1)",
+                     "cell residual is not constant at {v}")
+    if verdict and first != _proj_class(d):
+        return Verdict(
+            False, "cell residual constant differs from (L^d - 1)/(L - 1)", witness=(first,)
+        )
+    return verdict
+
+
+def proj_affine_bridge(vm: ValueModule) -> Verdict:
+    one = ones(vm.r)
+    ph, pg = table(series_proj_poincare, vm), table(series_poincare, vm)
+    return _agree(default_window(vm),
+                  lambda v: gc_mul(ph[v], gc_monomial(vm.deg_J(vec_add(v, one)))),
+                  pg.__getitem__, "affine bridge holds pointwise", "affine bridge fails at {v}")
+
+
+def proj_support(vm: ValueModule) -> Verdict:
+    ph = table(series_proj_poincare, vm)
+    return _agree(default_window(vm), ph.__getitem__,
+                  lambda v: ph[v] if vm.member(v) else GC_ZERO,
+                  "support contained in the value set", "nonzero coefficient over a non-member {v}")
