@@ -13,7 +13,7 @@ from .errors import NotDivisible, SingvalError
 
 # hard cap on |exponent| so runaway loops fail loudly instead of eating RAM
 MAX_EXPONENT = 10**6
-# W: gc_pack writes a class as one int in balanced base-2^W digits
+# W: poincare packs a class as one int, its coefficients as balanced base-2^W digits
 DIGIT_BITS = 32
 
 
@@ -122,23 +122,8 @@ def gc_div_exact(a: GrothendieckClass) -> GrothendieckClass:
     return _trusted(quo)
 
 
-def gc_invert_L(a: GrothendieckClass) -> GrothendieckClass:
-    """Substitute L -> 1/L (exponent sign flip)."""
-    return _trusted({-e: c for e, c in a._terms.items()})
-
-
-def gc_pack(classes: list[GrothendieckClass]) -> tuple[int, int, list[int]]:
-    """Kronecker substitution L -> 2^W (Harvey, J. Symbolic Comput. 44, 2009):
-    (e0, largest |c|, [sum of c * 2^(W * (e - e0)) per class]), e0 the least
-    exponent.  Int sums stay exact while every |digit| < 2^(W - 1)."""
-    e0 = min((e for a in classes for e in a._terms), default=0)
-    big = max((abs(c) for a in classes for c in a._terms.values()), default=0)
-    return e0, big, [sum(c << DIGIT_BITS * (e - e0) for e, c in a._terms.items())
-                     for a in classes]
-
-
 def gc_unpack(x: int, e0: int) -> GrothendieckClass:
-    """The class gc_pack wrote as x: balanced base-2^W digits from L^e0 up."""
+    """The class packed as x: balanced base-2^W digits from L^e0 up."""
     half, mask, terms = 1 << DIGIT_BITS - 1, (1 << DIGIT_BITS) - 1, {}
     while x:
         terms[e0] = c = (x + half & mask) - half

@@ -11,8 +11,8 @@ its coefficient function v -> GrothendieckClass:
 
 The verify_* functions re-check the structural identities tying the series
 to each other and to a dual module, each exactly on the one window
-[-2, gamma + 2]: series products on whole flat tables of packed ints
-(_table), degrees and jumps point by point.  They report a Verdict; they
+[-2, gamma + 2]: series products on flat tables of packed ints that _table
+reads off ell, degrees and jumps point by point.  They report a Verdict; they
 never assume an identity to build data.  Two display-shaped identities are
 known to fail (see the README's deviations table): the projectivized bridge
 in verify_proj_bridge_display, and the constancy clause of the projectivized
@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable
 
-from .errors import EnumerationTooLarge, SingvalError
+from .errors import EnumerationTooLarge, NotDivisible, SingvalError
 from .lattice import Vec, iter_box, ones, vec_add, vec_sub
 from .lefschetz import (
     DIGIT_BITS,
@@ -34,17 +34,16 @@ from .lefschetz import (
     gc_add,
     gc_div_exact,
     gc_int,
-    gc_invert_L,
     gc_monomial,
-    gc_pack,
     gc_unpack,
 )
 from .valuemodule import ValueModule, Verdict, ring_like
 
 GC_L_MINUS_1 = GrothendieckClass({1: 1, 0: -1})
 Coeff = Callable[[Vec], GrothendieckClass]
-Packed = tuple[int, list[int]]  # (e0, one gc_pack int per point of a flat box)
+Packed = tuple[int, list[int]]  # (e0, one int per point of a flat box, digits from L^e0 up)
 TABLES_KEPT = 64  # series tables _table keeps; a verify run reads six per module
+_ells = lru_cache(maxsize=TABLES_KEPT)(ValueModule.ells)  # keyed by the module's content
 
 
 def _subsets(r: int):
@@ -125,34 +124,69 @@ def _box(vm: ValueModule):
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def _grid(gamma: Vec) -> tuple[list[int], list[int], list[int]]:
+def _grid(gamma: Vec) -> tuple[list[int], ...]:
     """The flat _box in iter_box order (last axis fastest): each axis's stride,
-    the flat indices of the window in lex order, and |v| at every point."""
-    strides, win, deg = [], [0], [0]
+    the flat indices of the window in lex order, and |v| at every point; then
+    the strides of the flat [-3, gamma + 3] of _ells(vm, 3), and where _box sits in it."""
+    strides, win, deg, wide, keep = [], [0], [0], [], [0]
     for g in gamma:
         n = g + 6
-        strides = [s * n for s in strides] + [1]
+        strides, wide = [s * n for s in strides] + [1], [s * (n + 1) for s in wide] + [1]
         win = [i * n + c for i in win for c in range(1, n)]
+        keep = [i * (n + 1) + c for i in keep for c in range(n)]
         deg = [d + c for d in deg for c in range(-3, g + 3)]
-    return strides, win, deg
+    return strides, win, deg, wide, keep
+
+
+def _incl_excl(ell: list[int], strides: list[int]) -> list[int]:
+    """K(u) = sum over the axis subsets S of (-1)^|S| B^(r + ell(u) - ell(u + 1_S)),
+    B = 2^W, in r passes K(u) <- B K(u) - B^(1 - j) K(u + e_k), j the 0/1 jump
+    of ell along e_k: at most 2r + 1 digits.  The & 3 only bounds the shift
+    where u + e_k wraps into the next flat row, which no _box point reads."""
+    w, k = DIGIT_BITS, [1] * len(ell)
+    for s in strides:
+        k = [(a << w) - (b << w * ((1 + la - lb) & 3))
+             for a, b, la, lb in zip(k, k[s:], ell, ell[s:])]
+    return k
 
 
 @lru_cache(maxsize=TABLES_KEPT)
-def _table(build: Callable[[ValueModule], Coeff], vm: ValueModule, invert: bool = False) -> Packed:
-    """gc_pack of build(vm) (of its gc_invert_L with invert) on _box(vm), keyed
-    by the module's content; rows only read it.  A row side sums at most
-    2^(r + 1) coefficients, so bit_length(max |c|) + r + 4 <= DIGIT_BITS."""
+def _table(series: str, vm: ValueModule, invert: bool = False) -> Packed:
+    """series_<series>(vm) on _box(vm) as packed ints (with invert, L -> 1/L
+    of a projectivized one), read off _ells(vm, 3) and keyed by the module's
+    content; rows only read it.  With a = ell(v), b = ell(v + 1), m the
+    largest ell and Q = K/(B - 1), K from _incl_excl (its 2^r signs sum to 0):
+    cells B^(m - a) - B^(m - b) and poincare Q B^(m - r - a) from L^(deg_offset - m);
+    proj_cells P_(b - a) = (B^(b - a) - 1)/(B - 1) and proj_poincare
+    Q/B^(r - b + a) from L^0; inverted, from L^(1 - r), P_g B^(r - g) and
+    -Q/B^(b - a), K taken on -ell.  b - a is c_total(v) on the good tables
+    verify sees.  Certificate: every coefficient is a partial sum of at most
+    2^r signs, so |c| <= 2^(r - 1), and a row side sums at most 2^(r + 1) of
+    them: 2r + 4 <= DIGIT_BITS keeps every digit below 2^(W - 1)."""
+    r, w = vm.r, DIGIT_BITS
+    if (need := 2 * r + 4) > w:
+        raise EnumerationTooLarge(f"series table series_{series}: coefficients need {need} "
+                                  f"bits per packed digit, above the bound of {w}")
+    assert not invert or series.startswith("proj_"), f"no inverted series_{series} table"
+    ell, (*_, strides, keep) = _ells(vm, 3), _grid(vm.gamma)
+    top, m = sum(strides), ell[-1]
+    ab = [(ell[i], ell[i + top]) for i in keep]
+    if series == "cells":
+        return vm.deg_offset - m, [(1 << w * (m - a)) - (1 << w * (m - b)) for a, b in ab]
+    if series == "proj_cells":
+        ps = [((1 << w * g) - 1) // ((1 << w) - 1) for g in range(r + 1)]
+        if invert:
+            return 1 - r, [ps[b - a] << w * (r - b + a) for a, b in ab]
+        return 0, [ps[b - a] for a, b in ab]
+    ks = _incl_excl([-x for x in ell] if invert else ell, strides)
+    qs, rems = zip(*(divmod(ks[i], (1 << w) - 1) for i in keep))
+    if any(rems):
+        raise NotDivisible(f"a series_{series} entry is not divisible by L - 1")
+    if series == "poincare":
+        return vm.deg_offset - m, [q << w * (m - r - a) for q, (a, _) in zip(qs, ab)]
     if invert:
-        e0, xs = _table(build, vm)
-        classes = [gc_invert_L(gc_unpack(x, e0)) for x in xs]
-    else:
-        coeff = build(vm)
-        classes = [coeff(v) for v in _box(vm)]
-    e0, big, xs = gc_pack(classes)
-    if (need := big.bit_length() + vm.r + 4) > DIGIT_BITS:
-        raise EnumerationTooLarge(f"series table {build.__name__}: coefficients need {need} "
-                                  f"bits per packed digit, above the bound of {DIGIT_BITS}")
-    return e0, xs
+        return 1 - r, [-q >> w * (b - a) for q, (a, b) in zip(qs, ab)]
+    return 0, [q >> w * (r - b + a) for q, (a, b) in zip(qs, ab)]
 
 
 def _pair_check(vm_b: ValueModule, vm_bstar: ValueModule) -> Verdict | None:
@@ -213,18 +247,18 @@ def _axes(side: Packed, vm: ValueModule, c: int = 0, sign: int = 1) -> Packed:
 
 
 def _reflected(
-    build: Callable[[ValueModule], Coeff], vm_b: ValueModule, vm_bstar: ValueModule,
+    series: str, vm_b: ValueModule, vm_bstar: ValueModule,
     left: Callable[[Packed], Packed], right: Callable[[Packed], Packed],
     k: int, holds: str, fails: str,
 ) -> Verdict:
     """left(S_b(L o t)) == L^k t^(gamma - 1) right(S_bstar(1/t)) on the window,
-    S = build.  S_b(L o t) has L^|x| S_b(x): each entry moves up |x| + 3r >= 0
+    S = series_<series>.  S_b(L o t) has L^|x| S_b(x): each entry moves up |x| + 3r >= 0
     digits.  t^(gamma - 1) S_bstar(1/t) has S_bstar(gamma - 1 - x), and
     x -> gamma - 1 - x maps the box onto itself: the flat table reversed."""
-    (e0, xs), (f0, ys) = _table(build, vm_b), _table(build, vm_bstar)
+    (e0, xs), (f0, ys) = _table(series, vm_b), _table(series, vm_bstar)
     r3 = 3 * vm_b.r
-    scaled = [x << DIGIT_BITS * (d + r3) for x, d in zip(xs, _grid(vm_b.gamma)[2])]
-    return _compare(vm_b, left((e0 - r3, scaled)), right((f0 + k, ys[::-1])), holds, fails)
+    lhs = left((e0 - r3, [x << DIGIT_BITS * (d + r3) for x, d in zip(xs, _grid(vm_b.gamma)[2])]))
+    return _compare(vm_b, lhs, right((f0 + k, ys[::-1])), holds, fails)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -239,8 +273,8 @@ def verify_cell_poincare_bridge(vm: ValueModule) -> Verdict:
     branch.
     """
     w = default_window(vm)
-    rhs = _step(_step(_table(series_poincare, vm), 0, 1), sum(_grid(vm.gamma)[0]))
-    return _compare(vm, _axes(_table(series_cells, vm), vm), rhs,
+    rhs = _step(_step(_table("poincare", vm), 0, 1), sum(_grid(vm.gamma)[0]))
+    return _compare(vm, _axes(_table("cells", vm), vm), rhs,
                     f"bridge holds on {w[0]}..{w[1]}", "bridge mismatch")
 
 
@@ -283,7 +317,7 @@ def verify_cell_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule) ->
     m = vm_b.ell(vm_b.gamma)
     total = sum(_grid(vm_b.gamma)[0])
     return _reflected(
-        series_cells, vm_b, vm_bstar,
+        "cells", vm_b, vm_bstar,
         lambda side: _step(side, total, 0, -1), lambda side: _step(side, total, d),
         m - d, f"both forms hold with factor exponent {m} - {d}", "cell-series form fails at {v}",
     )
@@ -304,7 +338,7 @@ def verify_poincare_functional_equation(vm_b: ValueModule, vm_bstar: ValueModule
     m = vm_b.ell(vm_b.gamma)
     detail = f"holds with factor exponent {m - d}"
     verdict = _reflected(
-        series_poincare, vm_b, vm_bstar,
+        "poincare", vm_b, vm_bstar,
         lambda side: _axes(side, vm_b), lambda side: _axes(side, vm_b, 1, -1),
         m - d, detail, "functional equation fails at {v}",
     )
@@ -370,11 +404,11 @@ def verify_proj_functional_equation(
     if (bad_pair := _pair_check(vm_b, vm_bstar)) is not None:
         return bad_pair
     d, cells = vm_b.r, part == "cells"
-    build = series_proj_cells if cells else series_proj_poincare
+    series = "proj_cells" if cells else "proj_poincare"
     # residual(v) = S_b(gamma - 1 - v) + sign L^(d - 1) invert_L(S_bstar(v)): the
     # reflection reverses the flat table, and both terms align at the lower exponent
     sign = 1 if cells else -((-1) ** d)
-    (e0, xs), (f0, ys) = _table(build, vm_b), _table(build, vm_bstar, True)
+    (e0, xs), (f0, ys) = _table(series, vm_b), _table(series, vm_bstar, True)
     o = min(e0, f0 + d - 1)
     sa, sb = DIGIT_BITS * (e0 - o), DIGIT_BITS * (f0 + d - 1 - o)
     res = [(x << sa) + sign * (y << sb) for x, y in zip(reversed(xs), ys)]
@@ -395,8 +429,8 @@ def verify_proj_bridge_display(vm: ValueModule) -> Verdict:
     * proj_cells.  True for one branch; fails for two or more (a known
     defect of the display; kept verbatim and reported, never used)."""
     w = default_window(vm)
-    return _compare(vm, _step(_table(series_proj_poincare, vm), sum(_grid(vm.gamma)[0])),
-                    _axes(_table(series_proj_cells, vm), vm),
+    return _compare(vm, _step(_table("proj_poincare", vm), sum(_grid(vm.gamma)[0])),
+                    _axes(_table("proj_cells", vm), vm),
                     f"display bridge holds on {w[0]}..{w[1]}", "display bridge mismatch")
 
 
@@ -405,18 +439,17 @@ def verify_proj_affine_bridge(vm: ValueModule) -> Verdict:
 
         proj_poincare(v) * L^(deg_J(v + 1)) == poincare(v).
     """
-    one = ones(vm.r)
-    e0, ph = _table(series_proj_poincare, vm)
-    degs = [vm.deg_J(vec_add(v, one)) for v in _box(vm)]
-    lo = min(degs)
-    lhs = (e0 + lo, [x << DIGIT_BITS * (g - lo) for x, g in zip(ph, degs)])
-    return _compare(vm, lhs, _table(series_poincare, vm),
+    e0, ph = _table("proj_poincare", vm)
+    ell, (*_, strides, keep) = _ells(vm, 3), _grid(vm.gamma)
+    top, m = sum(strides), ell[-1]  # deg_J(v + 1) = deg_offset - ell[i + top]
+    lhs = (e0 + vm.deg_offset - m, [x << DIGIT_BITS * (m - ell[i + top]) for x, i in zip(ph, keep)])
+    return _compare(vm, lhs, _table("poincare", vm),
                     "affine bridge holds pointwise", "affine bridge fails at {v}")
 
 
 def verify_proj_support(vm: ValueModule) -> Verdict:
     """Nonzero projectivized Poincare coefficients only over members."""
-    e0, ph = _table(series_proj_poincare, vm)
+    e0, ph = _table("proj_poincare", vm)
     kept = [x if not x or vm.member(v) else 0 for x, v in zip(ph, _box(vm))]
     return _compare(vm, (e0, ph), (e0, kept), "support contained in the value set",
                     "nonzero coefficient over a non-member {v}")

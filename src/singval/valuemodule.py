@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 from typing import Iterable
 
@@ -191,6 +191,16 @@ class ValueModule:
                 x = g
             u.append(x if x > 0 else 0)
         return self._ell[tuple(u)] + above
+
+    def ells(self, pad: int) -> list[int]:
+        """ell at every point of [-pad, gamma + pad] in iter_box order: one
+        clip into the length table and the steps above gamma, as in ell."""
+        axes = [range(-pad, g + pad + 1) for g in self.gamma]
+        above = [0]
+        for g, xs in zip(self.gamma, axes):
+            above = [a + max(x - g, 0) for a in above for x in xs]
+        clips = product(*([min(max(x, 0), g) for x in xs] for g, xs in zip(self.gamma, axes)))
+        return [self._ell[u] + a for u, a in zip(clips, above)]
 
     def deg_J(self, v: Iterable[int]) -> int:
         """Degree of the v-th filtration step: deg_offset - ell(v)."""

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from singval import poincare
 from singval.algebra import value_set
 from singval.curve import ring_ideal
 from singval.lattice import iter_box
@@ -71,3 +72,19 @@ def pairing_report(vm):
     d = vm.r
     return [(v, s, d) for v in iter_box((-1,) * d, vm.gamma)
             if (s := vm.c_total(v) + vm.mirror(v)[1]) > d]
+
+
+def corrupt_entry(monkeypatch, series, target):
+    """Make every packed series_<series> table that verify reads carry one
+    more L^0 at the point target, as adding GC_ONE to that coefficient would."""
+    table = poincare._table
+
+    def tampered(name, vm, invert=False):
+        e0, xs = table(name, vm, invert)
+        if name != series or invert:
+            return e0, xs
+        i = list(iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma))).index(target)
+        assert e0 <= 0, "L^0 lies below the table's least exponent"
+        return e0, xs[:i] + [xs[i] + (1 << poincare.DIGIT_BITS * -e0)] + xs[i + 1:]
+
+    monkeypatch.setattr(poincare, "_table", tampered)

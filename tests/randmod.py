@@ -134,3 +134,12 @@ def random_modules(n: int, seed: int) -> list[ValueModule]:
         if vm is not None:
             out.append(vm)
     return out
+
+
+def wedge(gens, conductor):
+    """{0} u (S+ x S+) for the numerical semigroup S = <gens> of that conductor."""
+    table = [True] + [False] * conductor
+    for v in range(1, conductor + 1):
+        table[v] = any(v >= a and table[v - a] for a in gens)
+    pos = [v for v in range(1, conductor + 1) if table[v]]
+    return ValueModule(2, (conductor, conductor), [(0, 0), *product(pos, pos)])

@@ -20,9 +20,8 @@ from singval.algebra import (
     value_set,
 )
 from singval.curve import BranchSeries, CurvePresentation, FracIdeal, ring_ideal
-from singval import poincare
 from singval.lattice import iter_box
-from singval.lefschetz import GC_ONE, gc_add, gc_eval_rational, gc_mul
+from singval.lefschetz import gc_eval_rational, gc_mul
 from singval.poincare import (
     GC_L_MINUS_1,
     series_poincare,
@@ -36,7 +35,7 @@ from singval.poincare import (
 from singval.valuemodule import ValueModule, ring_like
 from singval.algebra import self_dual_direct
 
-from conftest import CONCRETE, GORENSTEIN, chain_total, pairing_report
+from conftest import CONCRETE, GORENSTEIN, chain_total, corrupt_entry, pairing_report
 
 NON_GORENSTEIN = "semigroup345"
 
@@ -153,12 +152,7 @@ def test_poincare_two_route_bridge_and_corruption_detection(ideal_vms, monkeypat
     # and a single corrupted coefficient cannot slip through the comparison
     for key, target in [(("e8", "ring"), (5,)), (("node", "ring"), (1, 1))]:
         vm = ideal_vms[key]
-
-        def tampered(vm, target=target):
-            s = series_poincare(vm)
-            return lambda v: gc_add(s(v), GC_ONE) if v == target else s(v)
-
-        monkeypatch.setattr(poincare, "series_poincare", tampered)
+        corrupt_entry(monkeypatch, "poincare", target)
         bad = verify_cell_poincare_bridge(vm)
         assert not bad, key
         assert bad.witness[0] <= target, key

@@ -437,6 +437,8 @@ def test_verify_without_a_canonical_exits_at_the_climb_ceiling(capsys, tmp_path)
 
 
 def test_verify_builds_each_series_once_per_module(capsys, monkeypatch):
+    # verify reads its packed tables off each module's ell grid, and calls no
+    # per-point series builder
     built = Counter()
     for name in ("series_degrees", "series_cells", "series_poincare",
                  "series_proj_cells", "series_proj_poincare"):
@@ -444,9 +446,31 @@ def test_verify_builds_each_series_once_per_module(capsys, monkeypatch):
             built[name, vm] += 1
             return real(vm)
         monkeypatch.setattr(poincare, name, counting)
+    asked, table = Counter(), poincare._table
+
+    def asking(series, vm, invert=False):
+        asked[series, invert, vm] += 1
+        return table(series, vm, invert)
+
+    monkeypatch.setattr(poincare, "_table", asking)
+    table.cache_clear()
+    poincare._ells.cache_clear()
     code, _, _ = run(capsys, "verify", corpus_file("node"), "--all-ideals")
-    assert code == EXIT_OK
-    assert built and max(built.values()) == 1, built
+    assert code == EXIT_OK and not built
+    # one build per (series, module), and one ell grid per module
+    assert asked and table.cache_info().misses == len(asked), asked
+    assert poincare._ells.cache_info().misses == len({vm for _, _, vm in asked})
+
+
+def test_verify_passes_the_ordinary_5_fold_table_within_30_s(capsys, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    families = importlib.import_module("families")
+    path = tmp_path / "ordinary5.json"
+    path.write_text(json.dumps(families.ordinary_table(5, random.Random(5)).data))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 30
+    assert code == EXIT_OK and out.splitlines()[-1].startswith("result: pass (")
 
 
 @pytest.mark.parametrize("command", ["series", "verify"])

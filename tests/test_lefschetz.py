@@ -16,12 +16,12 @@ from singval.lefschetz import (
     gc_div_exact,
     gc_eval_rational,
     gc_int,
-    gc_invert_L,
     gc_monomial,
     gc_mul,
     gc_to_json,
     gc_to_text,
 )
+from wsref import gc_invert_L
 
 classes = st.builds(
     GrothendieckClass,

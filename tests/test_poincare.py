@@ -2,6 +2,7 @@
 duality/functional-equation verifiers."""
 
 import importlib
+import random
 from fractions import Fraction
 from math import comb
 
@@ -11,10 +12,10 @@ from singval.algebra import dual, ring_ideal, value_set
 from singval.cli import EXIT_INPUT, EXIT_RESOURCE, main
 from singval.curve import BranchSeries, CurvePresentation
 from singval.errors import EnumerationTooLarge, SingvalError
-from singval import poincare
+from singval import lefschetz, poincare
 from singval.lattice import iter_box, vec_add
-from singval.lefschetz import (GC_ONE, GC_ZERO, gc_add, gc_div_exact, gc_eval_rational, gc_int,
-                               gc_invert_L, gc_monomial, gc_mul, gc_unpack)
+from singval.lefschetz import (GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_div_exact,
+                               gc_eval_rational, gc_int, gc_monomial, gc_mul, gc_unpack)
 from singval.poincare import (
     GC_L_MINUS_1,
     _table,
@@ -35,10 +36,12 @@ from singval.poincare import (
     verify_proj_functional_equation,
     verify_proj_support,
 )
+from singval.schemas import parse_value_module
 from singval.valuemodule import ValueModule
 
 import wsref
-from conftest import CORPUS, GORENSTEIN, ROOT
+from conftest import CONCRETE, CORPUS, GORENSTEIN, ROOT, corrupt_entry
+from randmod import wedge
 
 
 def canonical_of(ci):
@@ -318,12 +321,7 @@ def test_tail_identity_refuses_inapplicable_modules(ring_vms, ideal_vms):
 def test_single_coefficient_corruption_is_detected(ring_vms, monkeypatch):
     vm = ring_vms["e8"]
     target = (5,)
-
-    def corrupted(vm):
-        s = series_poincare(vm)
-        return lambda v: gc_add(s(v), GC_ONE) if v == target else s(v)
-
-    monkeypatch.setattr(poincare, "series_poincare", corrupted)
+    corrupt_entry(monkeypatch, "poincare", target)
     bad = verify_cell_poincare_bridge(vm)
     assert not bad
     assert bad.witness[0] <= target
@@ -333,56 +331,139 @@ def test_single_coefficient_corruption_is_detected(ring_vms, monkeypatch):
 
 # ------------------------------------------------------ shared series tables
 
-TABLE_BUILDERS = (series_cells, series_poincare, series_proj_cells, series_proj_poincare)
+TABLES = {"cells": series_cells, "poincare": series_poincare,
+          "proj_cells": series_proj_cells, "proj_poincare": series_proj_poincare}
+INVERTED = ("proj_cells", "proj_poincare")
+
+
+def all_tables(vm):
+    """The six packed tables verify reads of vm: four plain, two inverted."""
+    return [_table(series, vm) for series in TABLES] + [_table(series, vm, True)
+                                                         for series in INVERTED]
 
 
 def test_equal_modules_share_one_table(corpus, ring_vms):
     vm = ring_vms["tacnode"]
     twin = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset)
     assert twin is not vm
-    for build in TABLE_BUILDERS:
-        assert _table(build, twin) is _table(build, vm)
+    for series in TABLES:
+        assert _table(series, twin) is _table(series, vm)
     # a Gorenstein ring and its computed dual are equal by content
     ci = corpus["node"].curve_input
     vm_star = dual_table(ci, ring_ideal(ci.curve))
     assert vm_star is not ring_vms["node"]
-    assert _table(series_poincare, vm_star) is _table(series_poincare, ring_vms["node"])
+    assert _table("poincare", vm_star) is _table("poincare", ring_vms["node"])
 
 
 def test_degree_offset_keys_the_table(ring_vms):
     vm = ring_vms["e8"]
     shifted = ValueModule(vm.r, vm.gamma, vm.members, deg_offset=vm.deg_offset + 1)
-    a, b = _table(series_poincare, vm), _table(series_poincare, shifted)
+    a, b = _table("poincare", vm), _table("poincare", shifted)
     assert a is not b
     # the packed ints are those of vm's table; the least exponent moves up by 1
     assert b == (a[0] + 1, a[1])
 
 
-def test_a_table_decodes_to_its_series(corpus, ideal_vms, rand_mods):
-    vms = [*ideal_vms.values(), *rand_mods[:20], corpus["abstract_e8"].value_module]
+def int_table_modules(corpus, ideal_vms, rand_mods, families):
+    """Every corpus module with its computed dual, abstract E8, the random
+    staircases with their profile duals, the benchmark's ordinary 3- and
+    4-fold, A-type and semigroup tables, the <9, 11> wedge, and the
+    semigroup345 ring and its dual with deg_offset moved by +-10^5."""
+    vms = [corpus["abstract_e8"].value_module]
+    for name in CONCRETE:
+        ci = corpus[name].curve_input
+        for iname, b in [("ring", ring_ideal(ci.curve)), *ci.ideals.items()]:
+            vms += [ideal_vms[(name, iname)], dual_table(ci, b)]
+    for vm in rand_mods:
+        vms.append(vm)
+        try:
+            vms.append(vm.dual_from_jump_profile())
+        except SingvalError:
+            pass
+    rng = random.Random(29)
+    cases = [families.ordinary_table(r, rng) for r in (3, 4)]
+    cases += [families.a_type_table(k, rng) for k in (2, 3, 5, 8, 16, 24)]
+    cases += [families.semigroup_table(c, rng) for c in (40, 80, 120)]
+    vms += [parse_value_module(case.data) for case in cases] + [wedge((9, 11), 80)]
+    base = corpus["semigroup345"].curve_input
+    for m in (ideal_vms[("semigroup345", "ring")], dual_table(base, ring_ideal(base.curve))):
+        vms += [ValueModule(m.r, m.gamma, m.members, deg_offset=m.deg_offset + k)
+                for k in (10**5, -10**5)]
+    return list(dict.fromkeys(vms))
+
+
+def assert_tables_decode(vm, points):
+    """At each (flat index, v) of points, the six tables of vm decode to the
+    per-point builders' classes (to their L -> 1/L, inverted), no coefficient
+    passes 2^(r - 1), and ell(v + 1) - ell(v) is c_total(v)."""
+    one = (1,) * vm.r
+    for series, build in TABLES.items():
+        coeff, (e0, xs) = build(vm), _table(series, vm)
+        f0, ys = _table(series, vm, True) if series in INVERTED else (None, None)
+        for i, v in points:
+            want = coeff(v)
+            assert gc_unpack(xs[i], e0) == want, (series, vm, v)
+            assert all(abs(c) <= 2 ** (vm.r - 1) for c in want._terms.values()), (series, vm, v)
+            if ys is not None:
+                assert gc_unpack(ys[i], f0) == wsref.gc_invert_L(want), (series, vm, v)
+    for _, v in points:
+        assert vm.ell(vec_add(v, one)) - vm.ell(v) == vm.c_total(v), (vm, v)
+
+
+def _box_points(vm):
+    return list(iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma)))
+
+
+def test_a_table_decodes_to_its_series(corpus, ideal_vms, rand_mods, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    families = importlib.import_module("families")
+    vms = int_table_modules(corpus, ideal_vms, rand_mods, families)
+    assert len(vms) > 100 and {vm.r for vm in vms} == {1, 2, 3, 4}
     for vm in vms:
-        box = list(iter_box((-3,) * vm.r, tuple(g + 2 for g in vm.gamma)))
-        for build in TABLE_BUILDERS:
-            coeff = build(vm)
-            (e0, xs), (f0, ys) = _table(build, vm), _table(build, vm, True)
-            assert len(xs) == len(ys) == len(box)
-            for v, x, y in zip(box, xs, ys):
-                assert gc_unpack(x, e0) == coeff(v), (build.__name__, vm, v)
-                assert gc_unpack(y, f0) == gc_invert_L(coeff(v)), (build.__name__, vm, v)
+        box = _box_points(vm)
+        grid = iter_box((-3,) * vm.r, tuple(g + 3 for g in vm.gamma))
+        assert poincare._ells(vm, 3) == [vm.ell(u) for u in grid]
+        assert all(len(xs) == len(box) for _, xs in all_tables(vm))
+        assert_tables_decode(vm, list(enumerate(box)))
+    # the ordinary 5-fold point: permuting the axes fixes its members, and
+    # its tables with them, so one point per orbit decodes them all
+    vm = ValueModule(5, (4,) * 5, families.ordinary_members(5))
+    box = _box_points(vm)
+    at = {v: i for i, v in enumerate(box)}
+    for _, xs in all_tables(vm):
+        assert all(x == xs[at[tuple(sorted(v))]] for x, v in zip(xs, box))
+    assert_tables_decode(vm, [(i, v) for i, v in enumerate(box) if list(v) == sorted(v)])
+    assert all(vm.c_total(v) == vm.ell(vec_add(v, (1,) * 5)) - vm.ell(v) for v in box)
+
+
+def test_verify_tables_build_no_class(ideal_vms, rand_mods, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GrothendieckClass was built")
+
+    vms = [*ideal_vms.values(), *rand_mods[:10]]
+    monkeypatch.setattr(lefschetz, "_trusted", refuse)
+    monkeypatch.setattr(GrothendieckClass, "__init__", refuse)
+    with pytest.raises(AssertionError, match="GrothendieckClass was built"):
+        series_poincare(vms[0])((0,) * vms[0].r)
+    for vm in vms:
+        _table.cache_clear()
+        poincare._ells.cache_clear()
+        all_tables(vm)
+        assert _table.cache_info().misses == 6
 
 
 def test_a_table_past_the_digit_bound_exits_3(ring_vms, monkeypatch, capsys):
-    # every real table fits the 32-bit digits many times over; with 6-bit
-    # digits the r = 2 tacnode needs 1 + 2 + 4 = 7 bits and is refused
+    # a coefficient is at most 2^(r - 1) in size, so the static bound asks
+    # 2r + 4 bits: 8 for the r = 2 tacnode, which 6-bit digits refuse
     _table.cache_clear()
     monkeypatch.setattr(poincare, "DIGIT_BITS", 6)
-    with pytest.raises(EnumerationTooLarge, match="need 7 bits .* bound of 6"):
-        _table(series_cells, ring_vms["tacnode"])
+    with pytest.raises(EnumerationTooLarge, match="need 8 bits .* bound of 6"):
+        _table("cells", ring_vms["tacnode"])
     assert main(["verify", str(CORPUS / "tacnode.json")]) == EXIT_RESOURCE
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: resource ceiling: series table series_poincare: coefficients "
-                   "need 7 bits per packed digit, above the bound of 6\n")
+                   "need 8 bits per packed digit, above the bound of 6\n")
     monkeypatch.undo()
     _table.cache_clear()
 
@@ -393,9 +474,9 @@ def test_a_non_gorenstein_ring_and_its_dual_keep_their_own_tables(corpus, ring_v
     vm_star = dual_table(ci, ring_ideal(ci.curve))
     # same conductor, different members and degree offset; then members alone
     same_degree = ValueModule(vm.r, vm.gamma, vm_star.members, deg_offset=vm.deg_offset)
-    for build in TABLE_BUILDERS:
-        assert _table(build, vm_star) != _table(build, vm)
-        assert _table(build, same_degree) != _table(build, vm)
+    for series in TABLES:
+        assert _table(series, vm_star) != _table(series, vm)
+        assert _table(series, same_degree) != _table(series, vm)
 
 
 def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
@@ -416,8 +497,7 @@ def test_rows_leave_the_shared_tables_as_they_found_them(corpus, ring_vms):
             return out
 
         def tables():
-            return [(e0, list(xs)) for build in TABLE_BUILDERS for m in (vm, vm_star)
-                    for e0, xs in (_table(build, m), _table(build, m, True))]
+            return [(e0, list(xs)) for m in (vm, vm_star) for e0, xs in all_tables(m)]
 
         first, before = rows(), tables()
         assert rows() == first, name  # Verdict equality covers detail and witness

@@ -6,7 +6,7 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,7 @@ from singval.schemas import parse_value_module
 from singval.valuemodule import ValueModule, ring_like
 
 from conftest import ROOT, chain_total, pairing_report
+from randmod import wedge
 
 
 def vm345_can():
@@ -470,26 +471,17 @@ def _reference_ring_like(vm):
     return True
 
 
-def _wedge(gens, conductor):
-    """{0} u (S+ x S+) for the numerical semigroup S = <gens> of that conductor."""
-    table = [True] + [False] * conductor
-    for v in range(1, conductor + 1):
-        table[v] = any(v >= a and table[v - a] for a in gens)
-    pos = [v for v in range(1, conductor + 1) if table[v]]
-    return ValueModule(2, (conductor, conductor), [(0, 0), *product(pos, pos)])
-
-
 def test_ring_like_matches_the_ordered_pair_scan(corpus, ideal_vms, rand_mods):
-    wedge = _wedge((9, 11), 80)
-    assert len(wedge.members) == 1601
-    vms = [*ideal_vms.values(), *rand_mods, corpus["abstract_e8"].value_module, wedge]
+    big = wedge((9, 11), 80)
+    assert len(big.members) == 1601
+    vms = [*ideal_vms.values(), *rand_mods, corpus["abstract_e8"].value_module, big]
     seen = Counter(ring_like(vm) for vm in vms)
     assert all(ring_like(vm) is _reference_ring_like(vm) for vm in vms)
-    assert ring_like(wedge) and seen[True] > 10 and seen[False] > 10, seen
+    assert ring_like(big) and seen[True] > 10 and seen[False] > 10, seen
 
 
 def test_ring_like_scans_each_module_once():
-    vm = _wedge((3, 5), 8)
+    vm = wedge((3, 5), 8)
     twin = ValueModule(vm.r, vm.gamma, vm.members)
     ring_like.cache_clear()
     assert ring_like(vm) and ring_like(twin) and ring_like(vm)

@@ -9,7 +9,9 @@ the window.  The pointwise identities (the projectivized functional
 equation, the affine bridge and the support) are compared one class at a
 time through poincare._agree.  Both share the series builders and the window
 policy with the library, not the comparison, so each must give the same
-Verdict as the library row.
+Verdict as the library row.  The class-side L -> 1/L (gc_invert_L) and
+Kronecker packing (gc_pack) live here as well: the library computes its
+packed tables from the value module's lengths and needs neither.
 
 A WindowSeries records the exact coefficient of t^v for every v in one box,
 a Window; points outside the box are unknown, not zero, and reading one
@@ -23,8 +25,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from singval.errors import SingvalError
 from singval.lattice import Vec, iter_box, ones, vec_add, vec_check, vec_neg, vec_sub
-from singval.lefschetz import (GC_ONE, GC_ZERO, GrothendieckClass, gc_add, gc_int,
-                               gc_invert_L, gc_monomial, gc_mul)
+from singval.lefschetz import (DIGIT_BITS, GC_ONE, GC_ZERO, GrothendieckClass, _trusted,
+                               gc_add, gc_int, gc_monomial, gc_mul)
 from singval.poincare import (
     GC_L_MINUS_1,
     Coeff,
@@ -39,6 +41,21 @@ from singval.poincare import (
     series_proj_poincare,
 )
 from singval.valuemodule import ValueModule, Verdict, ring_like
+
+
+def gc_invert_L(a: GrothendieckClass) -> GrothendieckClass:
+    """Substitute L -> 1/L (exponent sign flip)."""
+    return _trusted({-e: c for e, c in a._terms.items()})
+
+
+def gc_pack(classes: list[GrothendieckClass]) -> tuple[int, int, list[int]]:
+    """Kronecker substitution L -> 2^W (Harvey, J. Symbolic Comput. 44, 2009):
+    (e0, largest |c|, [sum of c * 2^(W * (e - e0)) per class]), e0 the least
+    exponent.  Int sums stay exact while every |digit| < 2^(W - 1)."""
+    e0 = min((e for a in classes for e in a._terms), default=0)
+    big = max((abs(c) for a in classes for c in a._terms.values()), default=0)
+    return e0, big, [sum(c << DIGIT_BITS * (e - e0) for e, c in a._terms.items())
+                     for a in classes]
 
 
 def poly_prod_t_minus_one(r: int) -> dict[Vec, GrothendieckClass]:
